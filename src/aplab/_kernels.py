@@ -67,14 +67,6 @@ def ap_count_numpy(mem, d, k):
     return int(acc.sum())
 
 
-def _all_diffs_count_body(mem, k):
-    n = mem.shape[0]
-    total = 0
-    for d in range(n):
-        total += _ap_count_body(mem, d, k)
-    return total
-
-
 @njit(cache=True, nogil=True)
 def _all_diffs_count_jit_body(mem, k):
     n = mem.shape[0]

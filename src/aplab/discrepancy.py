@@ -335,14 +335,17 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int,
     Any 0/1 vector is an average of sign vectors, so the multilinear
     maximum over the cube is attained at a vertex of the larger cube;
     this checks that instance by instance with both exact enumerations.
+    Both cubes evaluate the same multilinear polynomial, the distinct-point
+    terms of ``_01_terms``: when a progression repeats a point, reducing by
+    z^2 = 1 and by a^2 = a gives different polynomials, and dominance
+    between two different polynomials need not hold.
     """
     n = seq.group.modulus
     if n > enum_limit:
         raise ValueError(f"dominance check limited to N <= {enum_limit}")
-    pm_terms, pm_base = _pm_terms(seq, sigma, k)
-    zo_terms, zo_base = _01_terms(seq, sigma, k)
-    pm_best, _ = _enumerate_pm(pm_terms, pm_base, n)
-    zo_best, _ = _enumerate_01(zo_terms, zo_base, n)
+    terms, base = _01_terms(seq, sigma, k)
+    pm_best, _ = _enumerate_pm(terms, base, n)
+    zo_best, _ = _enumerate_01(terms, base, n)
     return pm_best >= zo_best
 
 

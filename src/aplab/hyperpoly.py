@@ -51,13 +51,6 @@ class HypergraphPoly:
             self._edges[edge] = self._edges.get(edge, 0) + mult
         self._csr = None
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple]) -> "HypergraphPoly":
-        h = cls(n)
-        for e in edges:
-            h.add_edge(e)
-        return h
-
     def edges(self) -> list[tuple[tuple[int, ...], int]]:
         """Distinct edges with multiplicities, sorted."""
         return sorted(self._edges.items())

@@ -64,11 +64,25 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
 def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tuple[int, ...]]:
     """A progression-free subset of size exactly ``target``, or None.
 
-    Branch and bound over vertices in decreasing-degree order: try
-    including the vertex first (skipping it when that would complete a
-    forbidden set), prune a branch once the undecided vertices cannot
-    reach the target.  Free subsets are downward closed, so searching at
-    exactly the target size is complete.
+    Branch and bound over vertices in decreasing-degree order, trying to
+    include each vertex before excluding it; a vertex that would complete
+    a forbidden set is only excluded.  Free subsets are downward closed,
+    so searching at exactly the target size is complete.  Two rules prune
+    the tree, and neither removes a branch that holds a solution, so the
+    include-first search still returns the same (first) witness:
+
+    * Vertex-0 rule.  The forbidden sets are invariant under translation,
+      so when no vertex is banned every free set has a translate through
+      the first vertex of the order (vertex 0, since translation also
+      gives every vertex the same degree).  If including that vertex
+      fails, no free set of the target size exists and its exclude branch
+      is skipped.
+    * Packing bound.  A forbidden set with no excluded vertex is live, and
+      its undecided vertices form its residual; every live residual must
+      lose at least one vertex.  The undecided count minus a greedy packing
+      of pairwise disjoint live residuals bounds how many more vertices can
+      join, and a node whose bound falls below the number still needed is
+      pruned.
     """
     n = seq.group.modulus
     if target <= 0:
@@ -81,41 +95,48 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
     avail = [v for v in range(n) if v not in banned]
     if target > len(avail):
         return None
-    vert_edges: dict[int, list[int]] = {v: [] for v in avail}
-    for ei, e in enumerate(edges):
+    edge_masks = [sum(1 << v for v in e) for e in edges]
+    vert_masks: dict[int, list[int]] = {v: [] for v in avail}
+    for e, mask in zip(edges, edge_masks):
         for v in e:
-            if v in vert_edges:
-                vert_edges[v].append(ei)
-    order = sorted(avail, key=lambda v: (-len(vert_edges[v]), v))
-    edge_size = [len(e) for e in edges]
-    edge_in = [0] * len(edges)
-    chosen: list[int] = []
+            vert_masks[v].append(mask)
+    order = sorted(avail, key=lambda v: (-len(vert_masks[v]), v))
+    # decided[pos] / undecided[pos]: vertex masks of order[:pos] / order[pos:]
+    decided = [0]
+    for v in order:
+        decided.append(decided[-1] | 1 << v)
+    undecided = [decided[-1] & ~d for d in decided]
+    symmetric = not banned
 
-    def descend(pos: int, needed: int) -> bool:
+    def descend(pos: int, needed: int, chosen: int) -> Optional[int]:
         if needed == 0:
-            return True
-        if len(order) - pos < needed:
-            return False
+            return chosen
+        slack = len(order) - pos - needed
+        if slack < 0:
+            return None
+        excluded = decided[pos] & ~chosen
+        rest = undecided[pos]
+        packed = 0
+        for mask in edge_masks:
+            if not mask & excluded:
+                residual = mask & rest
+                if not residual & packed:
+                    packed |= residual
+                    slack -= 1
+                    if slack < 0:
+                        return None
         v = order[pos]
-        completes = False
-        for ei in vert_edges[v]:
-            if edge_in[ei] == edge_size[ei] - 1:
-                completes = True
-                break
-        if not completes:
-            for ei in vert_edges[v]:
-                edge_in[ei] += 1
-            chosen.append(v)
-            if descend(pos + 1, needed - 1):
-                return True
-            chosen.pop()
-            for ei in vert_edges[v]:
-                edge_in[ei] -= 1
-        return descend(pos + 1, needed)
+        with_v = chosen | 1 << v
+        if all(mask & ~with_v for mask in vert_masks[v]):
+            found = descend(pos + 1, needed - 1, with_v)
+            if found is not None or (pos == 0 and symmetric):
+                return found
+        return descend(pos + 1, needed, chosen)
 
-    if descend(0, target):
-        return tuple(sorted(chosen))
-    return None
+    found = descend(0, target, 0)
+    if found is None:
+        return None
+    return tuple(v for v in range(n) if found >> v & 1)
 
 
 def is_intersective_exact(seq: DifferenceSequence, params: ApParams,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aplab.cli import main
+from aplab.cli import _verify_dominance, main
 from aplab.records import iter_ledger
 
 
@@ -78,6 +78,14 @@ def test_verify_all_pass(capsys, tmp_path):
                      "lower-bound-chain", "symmetrization"]
     assert all(a["pass"] for a in payload["assertions"])
     assert payload["results"]["all_pass"] is True
+
+
+def test_verify_dominance_passes_every_seed():
+    # seeds such as 30 draw D holding 0 and N/2, where progressions repeat a point
+    for seed in range(400):
+        payload = {"assertions": []}
+        _verify_dominance(payload, seed)
+        assert payload["assertions"][0]["pass"], (seed, payload["assertions"])
 
 
 def test_verify_inject_fault_fails(capsys, tmp_path):

@@ -188,6 +188,13 @@ def test_multilinear_dominance_sample():
         assert D.multilinear_dominance(seq, sigma, 3)
 
 
+def test_multilinear_dominance_repeated_point():
+    # D = (3, 0) in Z/6: x, x+3, x+6 = x revisits x; the +-1 reduction
+    # z^2 = 1 would drop that point while the 0/1 reduction a^2 = a keeps it
+    seq = DifferenceSequence(Group(6), (3, 0))
+    assert D.multilinear_dominance(seq, np.array([-1, 1]), 3)
+
+
 def brute_symmetrization(group, m, k):
     """Independent re-derivation of both expectation sides."""
     n = group.modulus

@@ -7,10 +7,19 @@ import pytest
 from aplab.counting import DifferenceSequence, SubsetMask, ap_average
 from aplab.groups import ApParams, Group, as_density, density_target
 from aplab.intersectivity import (ExactLimitError, estimate_critical_size,
-                                  is_intersective_exact, max_free_heuristic,
-                                  minimal_forbidden_sets, run_trials, trial,
-                                  wilson_interval)
+                                  exact_free_set, is_intersective_exact,
+                                  max_free_heuristic, minimal_forbidden_sets,
+                                  run_trials, trial, wilson_interval)
 from aplab.rng import stream
+
+
+def oracle_free_set(seq, k, target):
+    """The lexicographically first progression-free subset of size target."""
+    for combo in combinations(range(seq.group.modulus), target):
+        mask = SubsetMask.from_indices(seq.group, combo)
+        if ap_average(mask, seq, k).numerator == 0:
+            return combo
+    return None
 
 
 def oracle_decide(seq, params):
@@ -20,13 +29,73 @@ def oracle_decide(seq, params):
     unnecessary to rule out intersectivity, and removing points never
     creates progressions, so testing one size settles every size above it.
     """
-    n = seq.group.modulus
     target = density_target(seq.group, params)
-    for combo in combinations(range(n), target):
-        mask = SubsetMask.from_indices(seq.group, combo)
-        if ap_average(mask, seq, params.k).numerator == 0:
+    return oracle_free_set(seq, params.k, target) is None
+
+
+def plain_free_set(seq, k, target):
+    """Reference: the exact decider as plain branch and bound, no pruning rules.
+
+    Include-first search over vertices in decreasing-degree order, pruned
+    only when too few undecided vertices remain.
+    """
+    n = seq.group.modulus
+    if target <= 0:
+        return ()
+    if target > n:
+        return None
+    edges = minimal_forbidden_sets(seq, k)
+    banned = {e[0] for e in edges if len(e) == 1}
+    edges = [e for e in edges if len(e) > 1]
+    avail = [v for v in range(n) if v not in banned]
+    if target > len(avail):
+        return None
+    vert_edges = {v: [ei for ei, e in enumerate(edges) if v in e] for v in avail}
+    order = sorted(avail, key=lambda v: (-len(vert_edges[v]), v))
+    edge_in = [0] * len(edges)
+    chosen = []
+
+    def descend(pos, needed):
+        if needed == 0:
+            return True
+        if len(order) - pos < needed:
             return False
-    return True
+        v = order[pos]
+        if all(edge_in[ei] < len(edges[ei]) - 1 for ei in vert_edges[v]):
+            for ei in vert_edges[v]:
+                edge_in[ei] += 1
+            chosen.append(v)
+            if descend(pos + 1, needed - 1):
+                return True
+            chosen.pop()
+            for ei in vert_edges[v]:
+                edge_in[ei] -= 1
+        return descend(pos + 1, needed)
+
+    return tuple(sorted(chosen)) if descend(0, target) else None
+
+
+def decider_grid(seed, moduli, per_modulus):
+    """Seeded (seq, k, target) instances, with banned and self-inverse differences.
+
+    Each modulus gets random draws for every k in {2, 3, 4}, plus a sequence
+    holding 0 (every vertex banned) and, for even N, one holding N/2, where
+    2d = 0 makes a progression revisit its start.  Targets sit at the
+    largest free set the heuristic finds or one above it, where the search
+    is hardest and both verdicts occur.
+    """
+    rng = stream(seed, 0)
+    for n in moduli:
+        g = Group(n)
+        for k in (2, 3, 4):
+            seqs = [DifferenceSequence.sample(g, int(rng.integers(1, 4)), rng)
+                    for _ in range(per_modulus)]
+            if n % 2 == 0:
+                seqs.append(DifferenceSequence(g, (n // 2, int(rng.integers(1, n)))))
+            for seq in seqs:
+                best = max_free_heuristic(seq, ApParams(k), rng).cardinality
+                yield seq, k, best + int(rng.integers(0, 2))
+            yield DifferenceSequence(g, (1, 0)), k, 2
 
 
 def test_known_verdicts():
@@ -55,6 +124,22 @@ def test_exact_matches_oracle_small():
         if got.witness is not None:
             assert ap_average(got.witness, seq, 3).numerator == 0
             assert got.witness.cardinality >= density_target(g, params)
+
+
+def test_exact_free_set_matches_oracle_witness():
+    # the include-first search over 0..N-1 finds the lexicographically first free set
+    for seq, k, target in decider_grid(51, range(4, 13), 3):
+        want = oracle_free_set(seq, k, target)
+        assert exact_free_set(seq, k, target) == want, (seq.entries, k, target)
+
+
+def test_exact_free_set_matches_plain_branch_and_bound():
+    verdicts = set()
+    for seq, k, target in decider_grid(52, range(13, 24), 2):
+        want = plain_free_set(seq, k, target)
+        assert exact_free_set(seq, k, target) == want, (seq.entries, k, target)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_exact_limit_enforced():
