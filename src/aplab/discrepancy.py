@@ -182,62 +182,38 @@ def _01_terms(seq: DifferenceSequence, sigma, k: int):
 
 
 def _term_arrays(terms: dict[tuple[int, ...], int]):
-    """Compact involved vertices and emit CSR + incidence + bitmask forms."""
+    """Compact the involved vertices: (involved, coefficients, supports).
+
+    Supports are sorted, and each is rewritten over the compact indices
+    0..len(involved)-1.
+    """
     involved = sorted({v for s in terms for v in s})
     remap = {v: i for i, v in enumerate(involved)}
     supports = sorted(terms)
     coef = np.array([terms[s] for s in supports], dtype=np.int64)
-    ptr = np.zeros(len(supports) + 1, dtype=np.int64)
-    np.cumsum(np.array([len(s) for s in supports], dtype=np.int64), out=ptr[1:])
-    vtx = np.fromiter((remap[v] for s in supports for v in s), dtype=np.int64,
-                      count=int(ptr[-1]))
-    incid: list[list[int]] = [[] for _ in involved]
-    for t, s in enumerate(supports):
-        for v in s:
-            incid[remap[v]].append(t)
-    v_ptr = np.zeros(len(involved) + 1, dtype=np.int64)
-    np.cumsum(np.array([len(b) for b in incid], dtype=np.int64), out=v_ptr[1:])
-    v_terms = np.fromiter((t for b in incid for t in b), dtype=np.int64,
-                          count=int(v_ptr[-1]))
-    masks = np.zeros(len(supports), dtype=np.uint64)
-    for t, s in enumerate(supports):
-        acc = 0
-        for v in s:
-            acc |= 1 << remap[v]
-        masks[t] = acc
-    return involved, coef, ptr, vtx, v_ptr, v_terms, masks
+    return involved, coef, [tuple(remap[v] for v in s) for s in supports]
+
+
+def _enumerate(terms, base, n, kernel, off, on):
+    """Exact maximum of |base + terms| and a witness over {off, on}^n."""
+    involved, coef, local = _term_arrays(terms)
+    witness = np.full(n, off, dtype=np.int64)
+    if not involved:
+        return abs(base), witness
+    masks = np.array([sum(1 << v for v in s) for s in local], dtype=np.uint64)
+    best, mask = kernel(len(involved), base, coef, masks)
+    for b, v in enumerate(involved):
+        if (int(mask) >> b) & 1:
+            witness[v] = on
+    return int(best), witness
 
 
 def _enumerate_pm(terms, base, n):
-    involved, coef, ptr, vtx, v_ptr, v_terms, masks = _term_arrays(terms)
-    if not involved:
-        return abs(base), np.ones(n, dtype=np.int64)
-    if _kernels.USE_NUMBA:
-        best, mask = _kernels.pm_enum_jit(len(involved), base, coef, ptr, vtx,
-                                          v_ptr, v_terms)
-    else:
-        best, mask = _kernels.pm_enum_numpy(len(involved), base, coef, masks)
-    witness = np.ones(n, dtype=np.int64)
-    for b, v in enumerate(involved):
-        if (int(mask) >> b) & 1:
-            witness[v] = -1
-    return int(best), witness
+    return _enumerate(terms, base, n, _kernels.pm_enum_kernel, 1, -1)
 
 
 def _enumerate_01(terms, base, n):
-    involved, coef, ptr, vtx, v_ptr, v_terms, masks = _term_arrays(terms)
-    if not involved:
-        return abs(base), np.zeros(n, dtype=np.int64)
-    if _kernels.USE_NUMBA:
-        best, mask = _kernels.z01_enum_jit(len(involved), base, coef, ptr, vtx,
-                                           v_ptr, v_terms)
-    else:
-        best, mask = _kernels.z01_enum_numpy(len(involved), base, coef, masks)
-    witness = np.zeros(n, dtype=np.int64)
-    for b, v in enumerate(involved):
-        if (int(mask) >> b) & 1:
-            witness[v] = 1
-    return int(best), witness
+    return _enumerate(terms, base, n, _kernels.z01_enum_kernel, 0, 1)
 
 
 def _hill_climb_pm(terms, base, n, rng, restarts, max_flips):
@@ -246,10 +222,11 @@ def _hill_climb_pm(terms, base, n, rng, restarts, max_flips):
     Witnesses are path dependent: ties in the flip choice go to the
     lowest vertex, and only the achieved value is contractual.
     """
-    involved, coef, ptr, vtx, v_ptr, v_terms, _ = _term_arrays(terms)
+    involved, coef, local = _term_arrays(terms)
     nv = len(involved)
     if nv == 0:
         return abs(base), np.ones(n, dtype=np.int64)
+    ptr, vtx, v_ptr, v_terms = _kernels.csr_incidence(local, nv)
     nt = coef.shape[0]
     supports = [vtx[ptr[t]:ptr[t + 1]] for t in range(nt)]
     best = abs(base)

@@ -65,11 +65,7 @@ class HypergraphPoly:
     def _arrays(self):
         if self._csr is None:
             keys = sorted(self._edges)
-            sizes = np.array([len(e) for e in keys], dtype=np.int64)
-            ptr = np.zeros(len(keys) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=ptr[1:])
-            vtx = np.fromiter((v for e in keys for v in e), dtype=np.int64,
-                              count=int(ptr[-1]))
+            ptr, vtx, _, _ = _kernels.csr_incidence(keys, self.n)
             mult = np.array([self._edges[e] for e in keys], dtype=np.int64)
             self._csr = (ptr, vtx, mult)
         return self._csr

@@ -157,29 +157,13 @@ def is_intersective_exact(seq: DifferenceSequence, params: ApParams,
     return IntersectivityVerdict(False, witness, "exact")
 
 
-def _edge_arrays(edges: list[tuple[int, ...]], n: int):
-    sizes = np.array([len(e) for e in edges], dtype=np.int64)
-    edge_ptr = np.zeros(len(edges) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=edge_ptr[1:])
-    edge_vtx = np.fromiter((v for e in edges for v in e), dtype=np.int64,
-                           count=int(edge_ptr[-1]))
-    incid: list[list[int]] = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for v in e:
-            incid[v].append(ei)
-    v_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.array([len(b) for b in incid], dtype=np.int64), out=v_ptr[1:])
-    v_edges = np.fromiter((ei for b in incid for ei in b), dtype=np.int64,
-                          count=int(v_ptr[-1]))
-    return edge_ptr, edge_vtx, sizes, v_ptr, v_edges
-
-
 def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int, rng,
                         restarts: int, passes: int) -> tuple[int, np.ndarray]:
     """Greedy-plus-swaps search; returns (best size, membership vector)."""
     n = seq.group.modulus
     edges = minimal_forbidden_sets(seq, k)
-    edge_ptr, edge_vtx, sizes, v_ptr, v_edges = _edge_arrays(edges, n)
+    edge_ptr, edge_vtx, v_ptr, v_edges = _kernels.csr_incidence(edges, n)
+    sizes = np.diff(edge_ptr)
     perms = np.stack([rng.permutation(n) for _ in range(restarts)]).astype(np.int64)
     removals = rng.integers(0, n, size=(restarts, passes), dtype=np.int64)
     best_size, best_mask = _kernels.apfree_search_kernel(
@@ -209,15 +193,17 @@ def trial(group: Group, params: ApParams, m: int, rng,
           passes: int = HEURISTIC_PASSES_DEFAULT) -> bool:
     """Sample D of length m from the given generator and decide intersectivity.
 
-    The heuristic searcher runs first: any free set it finds settles the
-    answer (False) exactly.  When it finds none and N is within the exact
-    limit, branch and bound settles the answer completely; beyond the
-    limit the trial reports True on heuristic evidence alone, which can
-    overstate intersectivity but never understate it.
+    Within the exact limit, branch and bound settles the answer
+    completely.  Beyond it the heuristic searcher runs: any free set it
+    finds settles the answer (False) exactly, and when it finds none the
+    trial reports True on heuristic evidence alone, which can overstate
+    intersectivity but never understate it.
     """
     if m < 1:
         raise ValueError("sequence length m must be at least 1")
     seq = DifferenceSequence.sample(group, m, rng)
+    if group.modulus <= exact_limit:
+        return is_intersective_exact(seq, params, exact_limit).intersective
     target = density_target(group, params)
     size, mem = _heuristic_free_set(seq, params.k, target, rng, restarts, passes)
     if size >= target:
@@ -225,8 +211,6 @@ def trial(group: Group, params: ApParams, m: int, rng,
         if ap_average(mask, seq, params.k).numerator != 0:
             raise AssertionError("internal error: heuristic returned a non-free set")
         return False
-    if group.modulus <= exact_limit:
-        return is_intersective_exact(seq, params, exact_limit).intersective
     return True
 
 

@@ -100,10 +100,7 @@ def inf_to_one_exact(mat, enum_limit: int = ENUM_LIMIT_DEFAULT) -> tuple[float, 
         raise ValueError(f"exact inf->1 limited to dimension {enum_limit}")
     if d == 0:
         return 0.0, np.ones(0, dtype=np.int64)
-    if _kernels.USE_NUMBA:
-        best, mask = _kernels.infone_enum_jit(arr)
-    else:
-        best, mask = _kernels.infone_enum_numpy(arr)
+    best, mask = _kernels.infone_enum_kernel(arr)
     u = np.ones(d, dtype=np.int64)
     for b in range(d):
         if (int(mask) >> b) & 1:

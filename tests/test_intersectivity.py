@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from aplab import _kernels, intersectivity
 from aplab.counting import DifferenceSequence, SubsetMask, ap_average
 from aplab.groups import ApParams, Group, as_density, density_target
 from aplab.intersectivity import (ExactLimitError, estimate_critical_size,
@@ -186,14 +187,44 @@ def test_heuristic_finds_known_maximum():
 
 
 def test_trial_agreement_with_exact():
+    """Within the exact limit trial is exact; the heuristic branch is one-sided."""
     g = Group(9)
     params = ApParams(3, as_density(0.5))
+    heuristic_free = 0
     for t in range(40):
         rng = stream(43, 3, t)
         seq = DifferenceSequence.sample(g, 2, rng)
         want = is_intersective_exact(seq, params).intersective
         got = trial(g, params, 2, stream(43, 3, t))
         assert got == want
+        heuristic = trial(g, params, 2, stream(43, 3, t), exact_limit=0)
+        assert heuristic or not want
+        heuristic_free += not heuristic
+    assert heuristic_free > 0
+
+
+def test_trial_within_exact_limit_skips_the_heuristic(monkeypatch):
+    """One forbidden-set build and no heuristic search per exact trial."""
+    calls = {"forbidden": 0, "search": 0}
+    build, search = intersectivity.minimal_forbidden_sets, _kernels.apfree_search_kernel
+
+    def counted_build(*args):
+        calls["forbidden"] += 1
+        return build(*args)
+
+    def counted_search(*args):
+        calls["search"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(intersectivity, "minimal_forbidden_sets", counted_build)
+    monkeypatch.setattr(_kernels, "apfree_search_kernel", counted_search)
+    g = Group(13)
+    params = ApParams(3, as_density(0.5))
+    for t in range(12):
+        before = calls["forbidden"]
+        trial(g, params, 2, stream(47, 1, t))
+        assert calls["forbidden"] == before + 1
+    assert calls["search"] == 0
 
 
 def test_wilson_interval():
