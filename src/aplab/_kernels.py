@@ -1,11 +1,13 @@
 """Hot numeric kernels, one implementation each.
 
 The counting, enumeration and polynomial kernels are vectorized numpy;
-the greedy free-set search is a plain loop over CSR arrays built by
-``csr_incidence``.  Callers reach every kernel as a ``_kernels``
-attribute at call time, so a wrapper installed on the module sees every
-call.  All kernels are exact integer computations except the operator-norm
-scan, which works in float64.
+the greedy free-set search is a plain Python loop over lists converted
+once per call from the CSR arrays built by ``csr_incidence``, and each
+of its swap passes rescans only the vertices an eviction can unblock.
+Callers reach every kernel as a ``_kernels`` attribute at call time, so
+a wrapper installed on the module sees every call.  All kernels are
+exact integer computations except the operator-norm scan, which works
+in float64.
 """
 from __future__ import annotations
 
@@ -162,80 +164,81 @@ def row_weight_kernel(u, d_i, good, r, n):
 # greedy independent-set search with swap passes
 #
 # Edges are forbidden vertex subsets.  A vertex can join the working set
-# only if no edge would become fully included.  Each swap pass evicts one
-# pseudo-random member and then greedily refills along the restart's
-# permutation.  All randomness arrives through perms/removals, so the
-# search is a deterministic function of its arguments.
+# only if no edge would become fully included; room[e] counts how many
+# more members edge e can take, so a vertex is blocked exactly when one of
+# its edges has no room left.  Each swap pass evicts one pseudo-random
+# member and then greedily refills along the restart's permutation.  All
+# randomness arrives through perms/removals, so the search is a
+# deterministic function of its arguments.
+#
+# Refill invariant: after the greedy pass and after every refill, each
+# non-member except the latest victim is blocked.  Adding members only
+# takes room away, so a vertex blocked when a refill starts stays blocked
+# through it, and a full scan of the permutation could add only vertices
+# that were unblocked at the start.  Evicting the victim gives room back
+# only to the victim's own edges.  The vertices unblocked at the start
+# are therefore among the non-members sharing an edge with the victim,
+# plus the previous victim, which the previous refill skipped.  Scanning
+# just those, in permutation order and with the same membership and room
+# checks at scan time, adds exactly the vertices the full scan would.
 
 
 def _apfree_search_body(nvert, target, edge_ptr, edge_vtx, edge_size,
                         v_ptr, v_edges, perms, removals):
+    ptr, vtx, incident, bounds = (a.tolist() for a in (edge_ptr, edge_vtx, v_edges, v_ptr))
+    edge_verts = [vtx[ptr[e]:ptr[e + 1]] for e in range(len(ptr) - 1)]
+    vert_edges = [incident[bounds[v]:bounds[v + 1]] for v in range(nvert)]
+    empty_room = [s - 1 for s in edge_size.tolist()]
     best_size = 0
     best_mask = np.zeros(nvert, dtype=np.uint8)
-    in_set = np.zeros(nvert, dtype=np.uint8)
-    edge_in = np.zeros(edge_size.shape[0], dtype=np.int64)
-    restarts = perms.shape[0]
-    passes = removals.shape[1]
-    for rs in range(restarts):
-        for v in range(nvert):
-            in_set[v] = 0
-        for e in range(edge_size.shape[0]):
-            edge_in[e] = 0
+    for order, probes in zip(perms.tolist(), removals.tolist()):
+        in_set = [0] * nvert
+        room = empty_room[:]
         size = 0
-        for pos in range(nvert):
-            v = perms[rs, pos]
-            blocked = False
-            for idx in range(v_ptr[v], v_ptr[v + 1]):
-                e = v_edges[idx]
-                if edge_in[e] == edge_size[e] - 1:
-                    blocked = True
-                    break
-            if not blocked:
+        for v in order:
+            edges = vert_edges[v]
+            if all(map(room.__getitem__, edges)):
                 in_set[v] = 1
                 size += 1
-                for idx in range(v_ptr[v], v_ptr[v + 1]):
-                    edge_in[v_edges[idx]] += 1
+                for e in edges:
+                    room[e] -= 1
         if size > best_size:
             best_size = size
-            for v in range(nvert):
-                best_mask[v] = in_set[v]
+            best_mask = np.array(in_set, dtype=np.uint8)
         if best_size >= target:
             return best_size, best_mask
-        for sw in range(passes):
+        rank = [0] * nvert
+        for pos, v in enumerate(order):
+            rank[v] = pos
+        victim = -1
+        for probe in probes:
             if size == 0:
                 break
-            probe = removals[rs, sw] % nvert
-            victim = -1
-            for off in range(nvert):
-                v = probe + off
-                if v >= nvert:
-                    v -= nvert
-                if in_set[v] == 1:
-                    victim = v
-                    break
+            previous = victim
+            victim = probe % nvert
+            while not in_set[victim]:
+                victim = (victim + 1) % nvert
             in_set[victim] = 0
             size -= 1
-            for idx in range(v_ptr[victim], v_ptr[victim + 1]):
-                edge_in[v_edges[idx]] -= 1
-            for pos in range(nvert):
-                v = perms[rs, pos]
-                if v == victim or in_set[v] == 1:
+            candidates = set()
+            for e in vert_edges[victim]:
+                room[e] += 1
+                candidates.update(edge_verts[e])
+            candidates.discard(victim)
+            if previous >= 0:
+                candidates.add(previous)
+            for v in sorted(candidates, key=rank.__getitem__):
+                if in_set[v]:
                     continue
-                blocked = False
-                for idx in range(v_ptr[v], v_ptr[v + 1]):
-                    e = v_edges[idx]
-                    if edge_in[e] == edge_size[e] - 1:
-                        blocked = True
-                        break
-                if not blocked:
+                edges = vert_edges[v]
+                if all(map(room.__getitem__, edges)):
                     in_set[v] = 1
                     size += 1
-                    for idx in range(v_ptr[v], v_ptr[v + 1]):
-                        edge_in[v_edges[idx]] += 1
+                    for e in edges:
+                        room[e] -= 1
             if size > best_size:
                 best_size = size
-                for v in range(nvert):
-                    best_mask[v] = in_set[v]
+                best_mask = np.array(in_set, dtype=np.uint8)
             if best_size >= target:
                 return best_size, best_mask
     return best_size, best_mask

@@ -48,17 +48,22 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
     A subset is progression-free iff it includes none of these vertex
     sets, so dropping supersets changes nothing while shrinking the
     search.  Deterministic order: by size, then lexicographic.
+
+    Every support is a translate x + B_d of a base support
+    B_d = {0, d, ..., (k-1)d}.  Translation preserves inclusion, so a
+    support has a proper subset among the supports exactly when its base
+    does, and each base is kept or dropped for all x together.  A
+    translate y + B_c inside B_d must carry 0 of B_c onto a point y of
+    B_d, so testing the shifts y in B_d of each smaller base decides it.
+    The kept bases' translates are then the minimal supports.
     """
     n = seq.group.modulus
-    supports = set()
-    for d in seq.distinct():
-        for x in range(n):
-            supports.add(frozenset((x + step * d) % n for step in range(k)))
-    kept: list[frozenset] = []
-    for s in sorted(supports, key=lambda f: (len(f), sorted(f))):
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return [tuple(sorted(s)) for s in kept]
+    bases = {frozenset(step * d % n for step in range(k)) for d in seq.distinct()}
+    kept = [b for b in bases
+            if not any(len(c) < len(b) and all((y + z) % n in b for z in c)
+                       for c in bases for y in b)]
+    supports = {tuple(sorted((x + z) % n for z in b)) for b in kept for x in range(n)}
+    return sorted(supports, key=lambda s: (len(s), s))
 
 
 def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tuple[int, ...]]:

@@ -34,6 +34,20 @@ def oracle_decide(seq, params):
     return oracle_free_set(seq, params.k, target) is None
 
 
+def plain_forbidden_sets(seq, k):
+    """Reference: every support built, then a quadratic scan for supersets."""
+    n = seq.group.modulus
+    supports = set()
+    for d in seq.distinct():
+        for x in range(n):
+            supports.add(frozenset((x + step * d) % n for step in range(k)))
+    kept = []
+    for s in sorted(supports, key=lambda f: (len(f), sorted(f))):
+        if not any(t <= s for t in kept):
+            kept.append(s)
+    return [tuple(sorted(s)) for s in kept]
+
+
 def plain_free_set(seq, k, target):
     """Reference: the exact decider as plain branch and bound, no pruning rules.
 
@@ -164,6 +178,18 @@ def test_minimal_forbidden_sets():
     single = minimal_forbidden_sets(DifferenceSequence(g, (0, 1)), 3)
     assert all(len(s) == 1 for s in single)
     assert len(single) == 7
+
+
+def test_minimal_forbidden_sets_match_superset_scan():
+    """Same list in the same order: edge indices and the decider's order depend on it."""
+    rng = stream(41, 4)
+    for n in (1, 2, 3, 4, 6, 9, 12, 15, 20, 27, 30, 45):
+        specials = [0] + [n // j for j in (2, 3) if n % j == 0]
+        for k in range(1, 6):
+            for extra in [[]] + [[d] for d in specials]:
+                entries = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist() + extra
+                seq = DifferenceSequence(Group(n), tuple(entries))
+                assert minimal_forbidden_sets(seq, k) == plain_forbidden_sets(seq, k), entries
 
 
 def test_heuristic_returns_free_set():

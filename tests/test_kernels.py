@@ -1,4 +1,4 @@
-"""Each kernel against a brute-force oracle written out in this file.
+"""Each kernel against a brute-force oracle or reference loop written out in this file.
 
 Witness vectors are not unique when several assignments tie, so the
 enumeration tests check that the reported witness attains the value.
@@ -8,6 +8,9 @@ from itertools import product
 import numpy as np
 
 from aplab import _kernels as K
+from aplab.counting import DifferenceSequence
+from aplab.groups import Group
+from aplab.intersectivity import minimal_forbidden_sets
 from aplab.rng import stream
 
 
@@ -56,6 +59,105 @@ def brute_row_weight(u, d_i, good, r, n):
 
     return sum(1 for d_j in good for x in range(n)
                if window(x, d_i) == r and window(x, int(d_j)) == r)
+
+
+def plain_apfree_search(nvert, target, edge_ptr, edge_vtx, edge_size,
+                        v_ptr, v_edges, perms, removals):
+    """Reference: the greedy search with every refill scanning all vertices."""
+    best_size = 0
+    best_mask = np.zeros(nvert, dtype=np.uint8)
+    in_set = np.zeros(nvert, dtype=np.uint8)
+    edge_in = np.zeros(edge_size.shape[0], dtype=np.int64)
+
+    def blocked(v):
+        return any(edge_in[v_edges[idx]] == edge_size[v_edges[idx]] - 1
+                   for idx in range(v_ptr[v], v_ptr[v + 1]))
+
+    def add(v, step):
+        in_set[v] = 1 if step > 0 else 0
+        for idx in range(v_ptr[v], v_ptr[v + 1]):
+            edge_in[v_edges[idx]] += step
+
+    for rs in range(perms.shape[0]):
+        in_set[:] = 0
+        edge_in[:] = 0
+        size = 0
+        for pos in range(nvert):
+            v = perms[rs, pos]
+            if not blocked(v):
+                add(v, 1)
+                size += 1
+        if size > best_size:
+            best_size = size
+            best_mask[:] = in_set
+        if best_size >= target:
+            return best_size, best_mask
+        for sw in range(removals.shape[1]):
+            if size == 0:
+                break
+            probe = removals[rs, sw] % nvert
+            victim = next((probe + off) % nvert for off in range(nvert)
+                          if in_set[(probe + off) % nvert])
+            add(victim, -1)
+            size -= 1
+            for pos in range(nvert):
+                v = perms[rs, pos]
+                if v != victim and not in_set[v] and not blocked(v):
+                    add(v, 1)
+                    size += 1
+            if size > best_size:
+                best_size = size
+                best_mask[:] = in_set
+            if best_size >= target:
+                return best_size, best_mask
+    return best_size, best_mask
+
+
+def search_grid(seed):
+    """Seeded (nvert, edge arrays, perms, removals) instances of the free-set search.
+
+    Moduli run from 1 to 140, and each gets random differences for every
+    k from 1 to 5.  Further sequences hold 0 (every vertex banned by a
+    size-1 edge), N/2 and N/3 (progressions that revisit a point, so edges
+    shorter than k).  Restart and pass counts cycle through (1, 32) x (0, 8).
+    """
+    rng = stream(seed, 0)
+    shapes = [(1, 0), (1, 8), (32, 0), (32, 8)]
+    count = 0
+    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 17, 24, 30, 41, 60, 64, 97, 127, 140):
+        specials = [n // j for j in (2, 3) if n % j == 0]
+        for extra in [[]] * 5 + [specials, [0]]:
+            k = count % 5 + 1
+            restarts, passes = shapes[count % 4]
+            count += 1
+            entries = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist() + extra
+            edges = minimal_forbidden_sets(DifferenceSequence(Group(n), tuple(entries)), k)
+            ptr, vtx, v_ptr, v_edges = K.csr_incidence(edges, n)
+            perms = np.stack([rng.permutation(n) for _ in range(restarts)]).astype(np.int64)
+            removals = rng.integers(0, n, size=(restarts, passes), dtype=np.int64)
+            yield n, (ptr, vtx, np.diff(ptr), v_ptr, v_edges), perms, removals
+
+
+def test_apfree_search_matches_full_scan():
+    """The incremental refill returns what a refill scanning every vertex returns.
+
+    Targets: N+1 (never reached), the first restart's greedy size (reached
+    in the first greedy pass), and the best size and one below it, which
+    on some instances only a swap pass reaches.
+    """
+    swap_only = 0
+    for n, arrays, perms, removals in search_grid(61):
+        best, _ = plain_apfree_search(n, n + 1, *arrays, perms, removals)
+        greedy, _ = plain_apfree_search(n, n + 1, *arrays, perms[:1], removals[:1, :0])
+        no_swap, _ = plain_apfree_search(n, n + 1, *arrays, perms, removals[:, :0])
+        swap_only += best > no_swap
+        for target in {n + 1, greedy, best, best - 1}:
+            want = plain_apfree_search(n, target, *arrays, perms, removals)
+            got = K.apfree_search_kernel(n, target, *arrays, perms, removals)
+            assert got[0] == want[0], (n, target, perms.shape, removals.shape)
+            assert np.array_equal(got[1], want[1]), (n, target)
+            assert got[1].dtype == np.uint8
+    assert swap_only > 0
 
 
 def test_pm_enumeration_matches_brute_force():
