@@ -359,10 +359,8 @@ def cmd_norms(args) -> int:
     if report.inf_to_one_exact is not None:
         _assert_into(payload, "inf-to-one-below-dim-spectral",
                      report.inf_to_one_exact <= report.dim * report.spectral + tol)
-    sym = bool(np.allclose(np.asarray(mat.to_dense() if hasattr(mat, "to_dense")
-                                      else mat),
-                           np.asarray(mat.to_dense() if hasattr(mat, "to_dense")
-                                      else mat).T))
+    sym = (mat.is_symmetric() if isinstance(mat, embedding.EmbeddingMatrix)
+           else np.array_equal(mat, mat.T))
     if sym:
         _assert_into(payload, "spectral-below-one-to-one",
                      report.spectral <= report.one_to_one + tol)
@@ -384,16 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=_LEDGER_DEFAULT,
                        help="ledger path (append-only)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT)
-        p.add_argument("--dimension-cap", type=int,
-                       default=embedding.DIMENSION_CAP_DEFAULT)
-        p.add_argument("--collision-slack", type=float, default=4.0)
 
     p = sub.add_parser("critical-size", help="estimate the threshold length m*")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--epsilon", default="0.5")
     p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_critical_size)
 
@@ -403,12 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0.5")
     p.add_argument("--differences", required=True,
                    help="comma-separated difference list")
+    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run the identity and inequality suite")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one matrix entry to exercise failure reporting")
+    p.add_argument("--collision-slack", type=float, default=4.0)
+    p.add_argument("--dimension-cap", type=int, default=embedding.DIMENSION_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -435,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", choices=("identity", "random", "window"),
                    default="identity")
     p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--dimension-cap", type=int, default=embedding.DIMENSION_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_norms)
     return parser

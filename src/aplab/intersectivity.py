@@ -11,7 +11,6 @@ all of them.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -162,13 +161,14 @@ def is_intersective_exact(seq: DifferenceSequence, params: ApParams,
     return IntersectivityVerdict(False, witness, "exact")
 
 
-def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int, rng,
-                        restarts: int, passes: int) -> tuple[int, np.ndarray]:
+def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
+                        rng) -> tuple[int, np.ndarray]:
     """Greedy-plus-swaps search; returns (best size, membership vector)."""
     n = seq.group.modulus
     edges = minimal_forbidden_sets(seq, k)
     edge_ptr, edge_vtx, v_ptr, v_edges = _kernels.csr_incidence(edges, n)
     sizes = np.diff(edge_ptr)
+    restarts, passes = HEURISTIC_RESTARTS_DEFAULT, HEURISTIC_PASSES_DEFAULT
     perms = np.stack([rng.permutation(n) for _ in range(restarts)]).astype(np.int64)
     removals = rng.integers(0, n, size=(restarts, passes), dtype=np.int64)
     best_size, best_mask = _kernels.apfree_search_kernel(
@@ -176,16 +176,13 @@ def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int, rng,
     return int(best_size), np.asarray(best_mask, dtype=np.uint8)
 
 
-def max_free_heuristic(seq: DifferenceSequence, params: ApParams, rng,
-                       restarts: int = HEURISTIC_RESTARTS_DEFAULT,
-                       passes: int = HEURISTIC_PASSES_DEFAULT) -> SubsetMask:
+def max_free_heuristic(seq: DifferenceSequence, params: ApParams, rng) -> SubsetMask:
     """Best progression-free subset the randomized search can find.
 
     The result is always genuinely progression-free (asserted on return);
     only its maximality is heuristic.
     """
-    size, mem = _heuristic_free_set(seq, params.k, seq.group.modulus + 1, rng,
-                                    restarts, passes)
+    size, mem = _heuristic_free_set(seq, params.k, seq.group.modulus + 1, rng)
     mask = SubsetMask(seq.group, mem)
     if mask.cardinality > 0 and ap_average(mask, seq, params.k).numerator != 0:
         raise AssertionError("internal error: heuristic returned a non-free set")
@@ -193,9 +190,7 @@ def max_free_heuristic(seq: DifferenceSequence, params: ApParams, rng,
 
 
 def trial(group: Group, params: ApParams, m: int, rng,
-          exact_limit: int = EXACT_LIMIT_DEFAULT,
-          restarts: int = HEURISTIC_RESTARTS_DEFAULT,
-          passes: int = HEURISTIC_PASSES_DEFAULT) -> bool:
+          exact_limit: int = EXACT_LIMIT_DEFAULT) -> bool:
     """Sample D of length m from the given generator and decide intersectivity.
 
     Within the exact limit, branch and bound settles the answer
@@ -210,7 +205,7 @@ def trial(group: Group, params: ApParams, m: int, rng,
     if group.modulus <= exact_limit:
         return is_intersective_exact(seq, params, exact_limit).intersective
     target = density_target(group, params)
-    size, mem = _heuristic_free_set(seq, params.k, target, rng, restarts, passes)
+    size, mem = _heuristic_free_set(seq, params.k, target, rng)
     if size >= target:
         mask = SubsetMask(group, mem)
         if ap_average(mask, seq, params.k).numerator != 0:
@@ -238,6 +233,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     return (lo, hi)
 
 
+# Kept for the machine-facts probe of perfbench/run.py, which reads it.
 def worker_count() -> int:
     """Worker cap from APLAB_THREADS, defaulting to the machine's cores."""
     raw = os.environ.get("APLAB_THREADS", "")
@@ -271,42 +267,22 @@ class CriticalSizeEstimate:
 
 
 def run_trials(group: Group, params: ApParams, m: int, count: int, seed: int, *,
-               offset: int = 0, exact_limit: int = EXACT_LIMIT_DEFAULT,
-               restarts: int = HEURISTIC_RESTARTS_DEFAULT,
-               passes: int = HEURISTIC_PASSES_DEFAULT,
-               workers: Optional[int] = None) -> int:
+               offset: int = 0, exact_limit: int = EXACT_LIMIT_DEFAULT) -> int:
     """Number of intersective samples among trials offset..offset+count-1.
 
     Trial index t always uses the generator keyed by (seed, m, t), so the
-    result is independent of worker count and chunk scheduling.
+    result is independent of the order and the ranges the trials run in.
     """
     if count < 1:
         raise ValueError("trial count must be at least 1")
-
-    def block(indices) -> int:
-        total = 0
-        for t in indices:
-            rng = stream(seed, m, t)
-            total += trial(group, params, m, rng, exact_limit, restarts, passes)
-        return total
-
-    nworkers = workers if workers is not None else worker_count()
-    indices = range(offset, offset + count)
-    if nworkers <= 1 or count < 2 * nworkers:
-        return block(indices)
-    chunks = np.array_split(np.asarray(indices), nworkers)
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return sum(pool.map(block, (c.tolist() for c in chunks if c.size)))
+    return sum(trial(group, params, m, stream(seed, m, t), exact_limit)
+               for t in range(offset, offset + count))
 
 
 def estimate_critical_size(group: Group, params: ApParams, *,
                            trials_per_m: int = 200, seed: int = 0,
                            confidence: float = 0.95,
-                           exact_limit: int = EXACT_LIMIT_DEFAULT,
-                           restarts: int = HEURISTIC_RESTARTS_DEFAULT,
-                           passes: int = HEURISTIC_PASSES_DEFAULT,
-                           workers: Optional[int] = None,
-                           m_cap: Optional[int] = None) -> CriticalSizeEstimate:
+                           exact_limit: int = EXACT_LIMIT_DEFAULT) -> CriticalSizeEstimate:
     """Estimate the smallest m whose intersectivity probability reaches 1/2.
 
     Search policy: double m until the empirical rate crosses 1/2, binary
@@ -319,15 +295,14 @@ def estimate_critical_size(group: Group, params: ApParams, *,
     """
     if trials_per_m < 1:
         raise ValueError("trials_per_m must be at least 1")
-    cap = m_cap if m_cap is not None else max(64, 8 * group.modulus)
+    cap = max(64, 8 * group.modulus)
     curve: dict[int, list[int]] = {}
     offsets: dict[int, int] = {}
 
     def probe(m: int, count: int):
         off = offsets.get(m, 0)
         got = run_trials(group, params, m, count, seed, offset=off,
-                         exact_limit=exact_limit, restarts=restarts,
-                         passes=passes, workers=workers)
+                         exact_limit=exact_limit)
         offsets[m] = off + count
         entry = curve.setdefault(m, [0, 0])
         entry[0] += count

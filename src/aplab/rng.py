@@ -2,8 +2,8 @@
 
 All random draws flow through Philox4x64-10 counter-based generators keyed
 by ``(seed, major, minor)``.  A stream's output depends only on its key, not
-on how many other streams were consumed first, so trial loops can be chunked
-across workers in any order and still aggregate to the same result.
+on how many other streams were consumed first, so trial loops can be run in
+any order or split into ranges and still aggregate to the same result.
 """
 from __future__ import annotations
 

@@ -157,6 +157,28 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_flags_belong_to_their_subcommands(capsys, tmp_path):
+    for argv in (["khintchine", "--exact-limit", "5"],
+                 ["verify", "--exact-limit", "5"],
+                 ["critical-size", "--modulus", "5", "--collision-slack", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    # N=5 is within the default limit; --exact-limit 0 forces the heuristic
+    code, out = run_cli(capsys, tmp_path, "check", "--modulus", "5",
+                        "--epsilon", "0.6", "--differences", "1",
+                        "--exact-limit", "0")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["params"]["exact_limit"] == 0
+    assert payload["results"]["method"] == "heuristic"
+    code, out = run_cli(capsys, tmp_path, "verify", "--seed", "3",
+                        "--dimension-cap", "100")
+    assert code == 0
+    assert json.loads(out)["params"]["dimension_cap"] == 100
+
+
 def test_payload_determinism(capsys, tmp_path):
     argv = ["critical-size", "--modulus", "7", "--epsilon", "0.6",
             "--trials", "100", "--seed", "9"]

@@ -263,14 +263,16 @@ def test_wilson_interval():
 
 
 def test_run_trials_scheduling_independent():
+    """Trial t draws only from stream (seed, m, t), whatever range it runs in."""
     g = Group(5)
     p = ApParams(3, as_density(0.6))
-    a = run_trials(g, p, 1, 64, 7, workers=1)
-    b = run_trials(g, p, 1, 64, 7, workers=4)
-    assert a == b
+    a = run_trials(g, p, 1, 64, 7)
+    assert a == sum(trial(g, p, 1, stream(7, 1, t)) for t in range(64))
     # offset extends the index range rather than replaying draws
     c = run_trials(g, p, 1, 32, 7) + run_trials(g, p, 1, 32, 7, offset=32)
     assert c == a
+    assert run_trials(g, p, 1, 32, 7, offset=32) == sum(
+        trial(g, p, 1, stream(7, 1, t)) for t in range(32, 64))
 
 
 def test_estimate_known_cases():
