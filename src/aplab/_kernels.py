@@ -4,6 +4,8 @@ The counting, enumeration and polynomial kernels are vectorized numpy;
 the greedy free-set search is a plain Python loop over lists converted
 once per call from the CSR arrays built by ``csr_incidence``, and each
 of its swap passes rescans only the vertices an eviction can unblock.
+``csr_incidence`` has two callers: the heuristic free-set search in
+``intersectivity`` and ``HypergraphPoly`` in ``hyperpoly``.
 Callers reach every kernel as a ``_kernels`` attribute at call time, so
 a wrapper installed on the module sees every call.  All kernels are
 exact integer computations except the operator-norm scan, which works
@@ -15,6 +17,11 @@ import numpy as np
 
 # Kept for the machine-facts probe of perfbench/run.py, which reads it.
 USE_NUMBA = False
+
+# Largest vertex count or dimension the 2**n enumerations accept; the
+# exact maxima in ``discrepancy``, ``norms`` and ``embedding`` read it
+# at call time.
+ENUM_LIMIT = 24
 
 _CHUNK_BITS = 16
 

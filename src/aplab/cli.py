@@ -197,8 +197,7 @@ def _verify_chain(payload, seed, slack, dimension_cap):
     found = None
     for _ in range(50):
         try:
-            cand = discrepancy.good_set_search(group, params, 4, rng,
-                                               attempts=200, slack=slack)
+            cand = discrepancy.good_set_search(group, params, 4, rng, slack=slack)
         except discrepancy.GoodSetSearchError as err:
             _assert_into(payload, "lower-bound-chain", False,
                          f"no well-spread sequence: best={err.best}")
@@ -314,7 +313,7 @@ def cmd_kimvu(args) -> int:
         "mu": [_epsilon_str(v) for v in profile.mu] if profile else [],
     }
     if h.edge_count():
-        report = hyperpoly.verify_set_vs_bernoulli(h, t, p, trials=0, strict=False)
+        report = hyperpoly.verify_set_vs_bernoulli(h, t, p)
         results["set_mean"] = _epsilon_str(report.set_mean)
         results["bernoulli_mean"] = _epsilon_str(report.bernoulli_mean)
         tails = {}

@@ -21,11 +21,8 @@ import numpy as np
 from . import _kernels
 from .counting import DifferenceSequence, RationalCount
 from .groups import ApParams, Group, as_density, pair_support
-from .rng import spawn_signs
 
-ENUM_LIMIT_DEFAULT = 24
-CLIMB_RESTARTS_DEFAULT = 32
-CLIMB_FLIP_FACTOR = 50
+GOOD_SET_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,7 @@ def pair_square_total(seq: DifferenceSequence, sigma, Z, k: int) -> int:
 @dataclass(frozen=True)
 class SignSearchResult:
     value: Fraction  # max of |signed objective|
-    witness: np.ndarray  # a Z attaining value (exact) or the best found
-    exact: bool
+    witness: np.ndarray  # a Z attaining value
 
 
 def _pm_terms(seq: DifferenceSequence, sigma, k: int):
@@ -216,97 +212,32 @@ def _enumerate_01(terms, base, n):
     return _enumerate(terms, base, n, _kernels.z01_enum_kernel, 0, 1)
 
 
-def _hill_climb_pm(terms, base, n, rng, restarts, max_flips):
-    """Steepest-ascent single flips on |S|; returns the best total found.
+def max_over_signs(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
+    """Maximize |signed objective| over Z in {-1,+1}^N, exactly.
 
-    Witnesses are path dependent: ties in the flip choice go to the
-    lowest vertex, and only the achieved value is contractual.
-    """
-    involved, coef, local = _term_arrays(terms)
-    nv = len(involved)
-    if nv == 0:
-        return abs(base), np.ones(n, dtype=np.int64)
-    ptr, vtx, v_ptr, v_terms = _kernels.csr_incidence(local, nv)
-    nt = coef.shape[0]
-    supports = [vtx[ptr[t]:ptr[t + 1]] for t in range(nt)]
-    best = abs(base)
-    best_z = np.ones(nv, dtype=np.int64)
-    for _ in range(restarts):
-        z = spawn_signs(rng, nv).astype(np.int64)
-        termval = np.array([coef[t] * z[supports[t]].prod() for t in range(nt)],
-                           dtype=np.int64)
-        total = base + int(termval.sum())
-        gain = np.zeros(nv, dtype=np.int64)
-        for t in range(nt):
-            gain[supports[t]] += termval[t]
-        if abs(total) > best:
-            best = abs(total)
-            best_z = z.copy()
-        for _ in range(max_flips):
-            cand = np.abs(total - 2 * gain)
-            v = int(np.argmax(cand))
-            if cand[v] <= abs(total):
-                break
-            for idx in range(int(v_ptr[v]), int(v_ptr[v + 1])):
-                t = int(v_terms[idx])
-                old = termval[t]
-                termval[t] = -old
-                gain[supports[t]] -= 2 * old
-            z[v] = -z[v]
-            total = base + int(termval.sum())
-            if abs(total) > best:
-                best = abs(total)
-                best_z = z.copy()
-    witness = np.ones(n, dtype=np.int64)
-    for b, v in enumerate(involved):
-        witness[v] = best_z[b]
-    return int(best), witness
-
-
-def max_over_signs(seq: DifferenceSequence, sigma, k: int, mode: str = "auto",
-                   rng=None, enum_limit: int = ENUM_LIMIT_DEFAULT,
-                   restarts: int = CLIMB_RESTARTS_DEFAULT,
-                   max_flips: Optional[int] = None) -> SignSearchResult:
-    """Maximize |signed objective| over Z in {-1,+1}^N.
-
-    ``exact`` walks all 2^v assignments of the involved vertices (Gray
-    code, incremental updates) and needs N <= enum_limit; ``heuristic``
-    runs restarted steepest-ascent flips and reports a lower bound.
-    ``auto`` picks exact when feasible.
+    Walks all 2^v assignments of the involved vertices in chunks of
+    consecutive codes, each evaluated from scratch; needs
+    N <= ``_kernels.ENUM_LIMIT``.
     """
     n = seq.group.modulus
+    if n > _kernels.ENUM_LIMIT:
+        raise ValueError(f"exact sign enumeration limited to N <= {_kernels.ENUM_LIMIT}")
     terms, base = _pm_terms(seq, sigma, k)
-    if mode == "auto":
-        mode = "exact" if n <= enum_limit else "heuristic"
-    if mode == "exact":
-        if n > enum_limit:
-            raise ValueError(
-                f"exact sign enumeration limited to N <= {enum_limit}; "
-                "use mode='heuristic'")
-        best, witness = _enumerate_pm(terms, base, n)
-        return SignSearchResult(Fraction(best, len(seq) * n), witness, True)
-    if mode != "heuristic":
-        raise ValueError("mode must be 'exact', 'heuristic', or 'auto'")
-    if rng is None:
-        raise ValueError("heuristic mode needs a generator")
-    flips = max_flips if max_flips is not None else CLIMB_FLIP_FACTOR * n
-    best, witness = _hill_climb_pm(terms, base, n, rng, restarts, flips)
-    return SignSearchResult(Fraction(best, len(seq) * n), witness, False)
+    best, witness = _enumerate_pm(terms, base, n)
+    return SignSearchResult(Fraction(best, len(seq) * n), witness)
 
 
-def max_over_01(seq: DifferenceSequence, sigma, k: int,
-                enum_limit: int = ENUM_LIMIT_DEFAULT) -> SignSearchResult:
+def max_over_01(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
     """Maximize |signed objective| over subsets A in {0,1}^N, exactly."""
     n = seq.group.modulus
-    if n > enum_limit:
-        raise ValueError(f"exact subset enumeration limited to N <= {enum_limit}")
+    if n > _kernels.ENUM_LIMIT:
+        raise ValueError(f"exact subset enumeration limited to N <= {_kernels.ENUM_LIMIT}")
     terms, base = _01_terms(seq, sigma, k)
     best, witness = _enumerate_01(terms, base, n)
-    return SignSearchResult(Fraction(best, len(seq) * n), witness, True)
+    return SignSearchResult(Fraction(best, len(seq) * n), witness)
 
 
-def multilinear_dominance(seq: DifferenceSequence, sigma, k: int,
-                          enum_limit: int = ENUM_LIMIT_DEFAULT) -> bool:
+def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
     """True when the {-1,+1} maximum dominates the {0,1} maximum.
 
     Any 0/1 vector is an average of sign vectors, so the multilinear
@@ -318,8 +249,8 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int,
     between two different polynomials need not hold.
     """
     n = seq.group.modulus
-    if n > enum_limit:
-        raise ValueError(f"dominance check limited to N <= {enum_limit}")
+    if n > _kernels.ENUM_LIMIT:
+        raise ValueError(f"dominance check limited to N <= {_kernels.ENUM_LIMIT}")
     terms, base = _01_terms(seq, sigma, k)
     pm_best, _ = _enumerate_pm(terms, base, n)
     zo_best, _ = _enumerate_01(terms, base, n)
@@ -462,19 +393,19 @@ class GoodSetSearchError(RuntimeError):
 
 
 def good_set_search(group: Group, params: ApParams, m: int, rng,
-                    attempts: int = 200, slack=4.0) -> GoodSetResult:
+                    slack=4.0) -> GoodSetResult:
     """Sample sequences until one has few collisions and low multiplicity.
 
-    Each attempt draws a fresh sequence and a balanced partition.  On
-    failure the raised error carries the best attempt seen (fewest
-    collisions, then lowest multiplicity).
+    Each of up to ``GOOD_SET_ATTEMPTS`` attempts draws a fresh sequence
+    and a balanced partition.  On failure the raised error carries the
+    best attempt seen (fewest collisions, then lowest multiplicity).
     """
     r = params.r
     n = group.modulus
     c_bound = collision_threshold(n, m, r, slack)
     m_bound = multiplicity_threshold(n)
     best: Optional[GoodSetResult] = None
-    for made in range(1, attempts + 1):
+    for made in range(1, GOOD_SET_ATTEMPTS + 1):
         seq = DifferenceSequence.sample(group, m, rng)
         part = IndexPartition.random_balanced(m, rng)
         coll = collision_count(seq, part, r)
@@ -485,4 +416,4 @@ def good_set_search(group: Group, params: ApParams, m: int, rng,
         if best is None or (coll, mult) < (best.collisions, best.multiplicity):
             best = result
     raise GoodSetSearchError(
-        f"no well-spread sequence found in {attempts} attempts", best)
+        f"no well-spread sequence found in {GOOD_SET_ATTEMPTS} attempts", best)

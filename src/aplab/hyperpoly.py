@@ -5,8 +5,8 @@ f(x) = sum_e mult(e) * prod_{v in e} x_v.  The module computes f and its
 partial-derivative sums f_A exactly, the mu profile (worst conditional
 expectation per fixed-set size under Bernoulli inputs), the window-pair
 hypergraph whose evaluations dominate row weights of the subset-pair
-matrices, and empirical comparisons between uniform fixed-size inputs
-and Bernoulli inputs.
+matrices, the exact comparison of uniform fixed-size inputs with
+Bernoulli inputs, and an empirical tail probe.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, log
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -70,30 +70,9 @@ class HypergraphPoly:
             self._csr = (ptr, vtx, mult)
         return self._csr
 
-    def dumps(self) -> str:
-        lines = []
-        if self._const:
-            lines.append(str(self._const))
-        for edge, mult in self.edges():
-            lines.append(" ".join([str(mult)] + [str(v) for v in edge]))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def dump(self, fh) -> None:
-        fh.write(self.dumps())
-
     def __repr__(self) -> str:
         return (f"HypergraphPoly(n={self.n}, edges={self.edge_count()}, "
                 f"max_size={self.max_edge_size()})")
-
-
-def parse_hypergraph_dump(text: str, n: int) -> HypergraphPoly:
-    h = HypergraphPoly(n)
-    for ln in text.strip().splitlines():
-        if not ln.strip():
-            continue
-        toks = [int(t) for t in ln.split()]
-        h.add_edge(toks[1:], toks[0])
-    return h
 
 
 def poly_value(h: HypergraphPoly, x) -> int:
@@ -176,8 +155,8 @@ def mu_profile(h: HypergraphPoly, p) -> MuProfile:
 # window-pair hypergraph and the row-weight statistic
 
 
-def build_pair_weight_hypergraph(seq: DifferenceSequence, i: int, right, r: int,
-                                 x_range=None) -> HypergraphPoly:
+def build_pair_weight_hypergraph(seq: DifferenceSequence, i: int, right,
+                                 r: int) -> HypergraphPoly:
     """Edges are r-point picks from each of two disjoint step windows.
 
     For every non-colliding j in ``right`` and every start x, each choice
@@ -187,12 +166,11 @@ def build_pair_weight_hypergraph(seq: DifferenceSequence, i: int, right, r: int,
     """
     group = seq.group
     n = group.modulus
-    starts = range(n) if x_range is None else x_range
     h = HypergraphPoly(n)
     for j in right:
         if not is_good_pair(seq, i, j, r):
             continue
-        for x in starts:
+        for x in range(n):
             win_i = single_support(group, x, seq.entries[i], r)
             win_j = single_support(group, x, seq.entries[j], r)
             for pick_i in combinations(win_i, r):
@@ -286,37 +264,21 @@ def set_average_exact(h: HypergraphPoly, t: int) -> Fraction:
     return total
 
 
-def set_average_sampled(h: HypergraphPoly, t: int, trials: int, rng) -> float:
-    """Monte Carlo version of the uniform fixed-size average."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    total = 0
-    x = np.zeros(h.n, dtype=np.uint8)
-    for _ in range(trials):
-        x[:] = 0
-        x[rng.choice(h.n, size=t, replace=False)] = 1
-        total += poly_value(h, x)
-    return total / trials
-
-
 @dataclass(frozen=True)
 class SetVsBernoulliReport:
     set_mean: Fraction
-    set_mean_sampled: Optional[float]
     bernoulli_mean: Fraction
     holds: bool  # set_mean <= 2 * bernoulli_mean, checked exactly
 
 
-def verify_set_vs_bernoulli(h: HypergraphPoly, t: int, p, trials: int = 0,
-                            rng=None, strict: bool = True) -> SetVsBernoulliReport:
+def verify_set_vs_bernoulli(h: HypergraphPoly, t: int, p) -> SetVsBernoulliReport:
     """Check E over t-subsets <= 2 * E over Bernoulli(p), exactly.
 
     The factor-2 direction is the provable one: conditioning a Bernoulli
     sample on its size and using monotonicity of the fixed-size mean
     shows the Bernoulli mean is at least half the t-subset mean whenever
-    t is at most the binomial median.  ``strict`` enforces p > 16/n and
-    t <= pn/2; with ``strict=False`` only the provable core
-    (pn >= 1 and t <= pn/2, hence t below the median) is required, which
+    t is at most the binomial median.  Only that provable core is
+    required (pn >= 1 and t <= pn/2, hence t below the median), which
     keeps small-n instances admissible.
     """
     pf = as_density(p)
@@ -324,20 +286,13 @@ def verify_set_vs_bernoulli(h: HypergraphPoly, t: int, p, trials: int = 0,
         raise ValueError("p must lie strictly between 0 and 1")
     if not 0 <= t <= h.n:
         raise ValueError("subset size outside 0..n")
-    if strict and pf <= Fraction(16, h.n):
-        raise ValueError(f"strict mode needs p > 16/n = 16/{h.n}")
     if pf * h.n < 1:
         raise ValueError("need p*n >= 1 for the median argument")
     if t > pf * h.n / 2:
         raise ValueError("need t <= p*n/2")
     lhs = set_average_exact(h, t)
     rhs = bernoulli_average(h, pf)
-    sampled = None
-    if trials > 0:
-        if rng is None:
-            raise ValueError("sampling needs a generator")
-        sampled = set_average_sampled(h, t, trials, rng)
-    return SetVsBernoulliReport(lhs, sampled, rhs, lhs <= 2 * rhs)
+    return SetVsBernoulliReport(lhs, rhs, lhs <= 2 * rhs)
 
 
 def tail_probe(h: HypergraphPoly, t: int, p, c_factor: float, trials: int,

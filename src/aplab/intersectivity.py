@@ -28,6 +28,7 @@ EXACT_LIMIT_DEFAULT = 40
 HEURISTIC_RESTARTS_DEFAULT = 32
 HEURISTIC_PASSES_DEFAULT = 8
 _STABILIZE_ROUNDS = 12
+CONFIDENCE = 0.95  # of every Wilson interval
 
 
 class ExactLimitError(ValueError):
@@ -214,15 +215,13 @@ def trial(group: Group, params: ApParams, m: int, rng,
     return True
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at ``CONFIDENCE``."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2)
+    z = NormalDist().inv_cdf(0.5 + CONFIDENCE / 2)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -262,7 +261,6 @@ class CriticalSizeEstimate:
     k: int
     epsilon: Fraction
     trials_per_m: int
-    confidence: float
     seed: int
 
 
@@ -281,7 +279,6 @@ def run_trials(group: Group, params: ApParams, m: int, count: int, seed: int, *,
 
 def estimate_critical_size(group: Group, params: ApParams, *,
                            trials_per_m: int = 200, seed: int = 0,
-                           confidence: float = 0.95,
                            exact_limit: int = EXACT_LIMIT_DEFAULT) -> CriticalSizeEstimate:
     """Estimate the smallest m whose intersectivity probability reaches 1/2.
 
@@ -315,7 +312,7 @@ def estimate_critical_size(group: Group, params: ApParams, *,
     def qualifier() -> Optional[int]:
         for m in sorted(curve):
             t, s = curve[m]
-            if s / t >= 0.5 and wilson_interval(s, t, confidence)[0] >= 0.45:
+            if s / t >= 0.5 and wilson_interval(s, t)[0] >= 0.45:
                 return m
         return None
 
@@ -352,7 +349,7 @@ def estimate_critical_size(group: Group, params: ApParams, *,
         probe(cand, 4 * trials_per_m)
         chosen = qualifier()
     points = tuple(
-        ProbePoint(m, t, s, s / t, *wilson_interval(s, t, confidence))
+        ProbePoint(m, t, s, s / t, *wilson_interval(s, t))
         for m, (t, s) in sorted(curve.items()))
     return CriticalSizeEstimate(chosen, points, group.modulus, params.k,
-                                params.epsilon, trials_per_m, confidence, seed)
+                                params.epsilon, trials_per_m, seed)

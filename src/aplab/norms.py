@@ -19,46 +19,46 @@ import numpy as np
 from . import _kernels
 from .rng import spawn_signs, stream
 
-ENUM_LIMIT_DEFAULT = 24
-DENSE_LIMIT_DEFAULT = 512
-POWER_TOL_DEFAULT = 1e-10
-POWER_MAX_ITER_DEFAULT = 100000
+# Dimensions up to this go through dense solves; read at call time.
+DENSE_LIMIT = 512
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 100000
+ASCENT_RESTARTS = 16
 
 
-def _as_dense_or_sparse(mat, dense_limit: int):
+def _as_dense_or_sparse(mat):
     """Normalize input to ('dense', ndarray) or ('sparse', csr)."""
     if hasattr(mat, "to_sparse") and hasattr(mat, "dim"):  # EmbeddingMatrix
-        if mat.dim <= dense_limit:
-            return "dense", mat.to_dense(limit=dense_limit)
+        if mat.dim <= DENSE_LIMIT:
+            return "dense", mat.to_dense()
         return "sparse", mat.to_sparse()
     arr = np.asarray(mat, dtype=np.float64) if not hasattr(mat, "tocsr") else mat
     if hasattr(arr, "tocsr"):
         sp = arr.tocsr()
-        if sp.shape[0] <= dense_limit:
+        if sp.shape[0] <= DENSE_LIMIT:
             return "dense", sp.toarray()
         return "sparse", sp
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
-    if arr.shape[0] <= dense_limit:
+    if arr.shape[0] <= DENSE_LIMIT:
         return "dense", arr
     from scipy.sparse import csr_matrix
 
     return "sparse", csr_matrix(arr)
 
 
-def spectral_norm(mat, tol: float = POWER_TOL_DEFAULT,
-                  max_iter: int = POWER_MAX_ITER_DEFAULT, seed: int = 0,
-                  dense_limit: int = DENSE_LIMIT_DEFAULT) -> tuple[float, bool]:
+def spectral_norm(mat) -> tuple[float, bool]:
     """Largest singular value and a convergence flag.
 
-    Small matrices go through a dense solve (always converged).  Large
-    ones run power iteration on M^T M, never on M itself: when the
-    spectrum straddles +/- the same magnitude the plain iteration
-    alternates and its Rayleigh quotient freezes at a wrong value, while
-    on the positive-semidefinite M^T M the quotient equals ||Mv||^2 and
-    climbs monotonically to the squared norm.
+    Matrices up to ``DENSE_LIMIT`` go through a dense solve (always
+    converged).  Larger ones run power iteration on M^T M, never on M
+    itself: when the spectrum straddles +/- the same magnitude the plain
+    iteration alternates and its Rayleigh quotient freezes at a wrong
+    value, while on the positive-semidefinite M^T M the quotient equals
+    ||Mv||^2 and climbs monotonically to the squared norm.  It climbs
+    from below, so the iterated value never exceeds the true norm.
     """
-    kind, obj = _as_dense_or_sparse(mat, dense_limit)
+    kind, obj = _as_dense_or_sparse(mat)
     if kind == "dense":
         if obj.shape[0] == 0:
             return 0.0, True
@@ -66,12 +66,12 @@ def spectral_norm(mat, tol: float = POWER_TOL_DEFAULT,
     a = obj
     at = a.T.tocsr()
     dim = a.shape[0]
-    rng = stream(seed, 977)
+    rng = stream(0, 977)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     prev = None
     lam2 = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         av = a @ v
         lam2 = float(av @ av)  # Rayleigh quotient of M^T M at unit v
         w = at @ av
@@ -79,25 +79,25 @@ def spectral_norm(mat, tol: float = POWER_TOL_DEFAULT,
         if nw < 1e-300:
             return 0.0, True
         v = w / nw
-        if prev is not None and abs(lam2 - prev) <= tol * max(1.0, lam2):
+        if prev is not None and abs(lam2 - prev) <= POWER_TOL * max(1.0, lam2):
             return sqrt(lam2), True
         prev = lam2
     return sqrt(lam2), False
 
 
-def inf_to_one_exact(mat, enum_limit: int = ENUM_LIMIT_DEFAULT) -> tuple[float, np.ndarray]:
+def inf_to_one_exact(mat) -> tuple[float, np.ndarray]:
     """Exact max of u^T M v over sign vectors, with the maximizing u.
 
     Only u is enumerated; the optimal v is sign(M^T u) with ties going
     to +1, so the value is max over u of ||M^T u||_1.  Feasible for
-    dimension <= enum_limit.
+    dimension <= ``_kernels.ENUM_LIMIT``.
     """
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     d = arr.shape[0]
-    if d > enum_limit:
-        raise ValueError(f"exact inf->1 limited to dimension {enum_limit}")
+    if d > _kernels.ENUM_LIMIT:
+        raise ValueError(f"exact inf->1 limited to dimension {_kernels.ENUM_LIMIT}")
     if d == 0:
         return 0.0, np.ones(0, dtype=np.int64)
     best, mask = _kernels.infone_enum_kernel(arr)
@@ -114,17 +114,8 @@ def _sign_plus(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def inf_to_one_bounds(mat, rng=None, restarts: int = 16,
-                      dense_limit: int = DENSE_LIMIT_DEFAULT) -> tuple[float, float]:
-    """Certified bracket for the inf->1 norm of a large matrix.
-
-    Lower bound: alternating ascent u -> sign(Mv), v -> sign(M^T u) from
-    the all-ones start plus random restarts; each iterate is a feasible
-    sign pair.  Upper bound: the smaller of dim * spectral and the total
-    l1 mass of the entries.
-    """
-    kind, obj = _as_dense_or_sparse(mat, dense_limit)
-    a = obj
+def _inf_to_one_bracket(kind: str, a, spectral: float, rng) -> tuple[float, float]:
+    """``inf_to_one_bounds`` on normalized input with its spectral norm given."""
     dim = a.shape[0]
     if dim == 0:
         return 0.0, 0.0
@@ -133,8 +124,7 @@ def inf_to_one_bounds(mat, rng=None, restarts: int = 16,
         entry_mass = float(np.abs(a.data).sum()) if a.nnz else 0.0
     else:
         entry_mass = float(np.abs(a).sum())
-    spec, _ = spectral_norm(a, dense_limit=dense_limit)
-    upper = min(dim * spec, entry_mass)
+    upper = min(dim * spectral, entry_mass)
 
     def ascend(u0: np.ndarray) -> float:
         u = u0
@@ -150,9 +140,27 @@ def inf_to_one_bounds(mat, rng=None, restarts: int = 16,
 
     lower = ascend(np.ones(dim, dtype=np.float64))
     if rng is not None:
-        for _ in range(restarts):
+        for _ in range(ASCENT_RESTARTS):
             lower = max(lower, ascend(spawn_signs(rng, dim).astype(np.float64)))
     return lower, upper
+
+
+def inf_to_one_bounds(mat, rng=None) -> tuple[float, float]:
+    """Bracket for the inf->1 norm of a large matrix.
+
+    Lower bound: alternating ascent u -> sign(Mv), v -> sign(M^T u) from
+    the all-ones start plus ``ASCENT_RESTARTS`` random starts when a
+    generator is given; each iterate is a feasible sign pair, so the
+    lower end is certified.  Upper end: the smaller of dim * spectral and
+    the total l1 mass of the entries.  It holds (up to rounding) only when
+    the spectral norm comes from the dense solve: above ``DENSE_LIMIT``
+    the power iteration approaches ||M|| from below, so dim * spectral
+    can fall under the true norm and under the lower end (the 600 x 600
+    identity gives lower 600 and upper 599.99999999999989).
+    """
+    kind, obj = _as_dense_or_sparse(mat)
+    spectral, _ = spectral_norm(obj)
+    return _inf_to_one_bracket(kind, obj, spectral, rng)
 
 
 def one_to_one_norm(mat) -> float:
@@ -184,22 +192,23 @@ class NormReport:
     inf_to_one_exact: Optional[float]  # set when the dimension allows enumeration
 
 
-def norm_report(mat, *, enum_limit: int = ENUM_LIMIT_DEFAULT,
-                dense_limit: int = DENSE_LIMIT_DEFAULT, rng=None,
-                restarts: int = 16) -> NormReport:
-    """All three norms, with the inf->1 value exact when small enough."""
-    kind, obj = _as_dense_or_sparse(mat, dense_limit)
+def norm_report(mat, *, rng=None) -> NormReport:
+    """All three norms, with the inf->1 value exact when small enough.
+
+    The input is normalized once and its spectral norm computed once;
+    the inf->1 bracket reuses that value.
+    """
+    kind, obj = _as_dense_or_sparse(mat)
     dim = obj.shape[0]
-    spec, conv = spectral_norm(obj, dense_limit=dense_limit)
+    spec, conv = spectral_norm(obj)
     oto = one_to_one_norm(obj)
     exact = None
-    if dim <= enum_limit:
+    if dim <= _kernels.ENUM_LIMIT:
         dense = obj if kind == "dense" else obj.toarray()
-        exact, _ = inf_to_one_exact(dense, enum_limit)
+        exact, _ = inf_to_one_exact(dense)
         lower = upper = exact
     else:
-        lower, upper = inf_to_one_bounds(obj, rng=rng, restarts=restarts,
-                                         dense_limit=dense_limit)
+        lower, upper = _inf_to_one_bracket(kind, obj, spec, rng)
     return NormReport(dim, spec, conv, oto, lower, upper, exact)
 
 

@@ -244,10 +244,10 @@ def test_criterion_09_row_weight_mean(criterion):
 def test_criterion_10_set_vs_bernoulli(criterion):
     """Uniform s-set average <= 2x Bernoulli(s/N) average, 100 instances.
 
-    The strict density precondition p > 16/N cannot hold with s <= N <= 13,
-    so the check runs in the relaxed regime (pN >= 1 and t at most half
-    the Bernoulli vertex budget) where the factor-2 comparison is still
-    provable; the inequality itself is asserted exactly on every instance.
+    The density condition p > 16/N cannot hold with s <= N <= 13, so the
+    check runs under the provable core alone (pN >= 1 and t at most half
+    the Bernoulli vertex budget), where the factor-2 comparison still
+    holds; the inequality itself is asserted exactly on every instance.
     """
     rng = stream(1010, 0)
     done = 0
@@ -262,7 +262,7 @@ def test_criterion_10_set_vs_bernoulli(criterion):
         s = int(rng.choice([4, 6]))
         t = s // 2
         p = Fraction(s, n)
-        rep = H.verify_set_vs_bernoulli(h, t, p, strict=False)
+        rep = H.verify_set_vs_bernoulli(h, t, p)
         assert rep.holds, (n, seq.entries, s, t)
         assert rep.set_mean <= 2 * rep.bernoulli_mean
         done += 1

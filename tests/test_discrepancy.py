@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from aplab import _kernels
 from aplab import discrepancy as D
 from aplab.counting import (DifferenceSequence, SubsetMask, ap_average,
                             ap_average_all, ap_count)
@@ -150,8 +151,7 @@ def test_max_over_signs_exact():
         m = int(rng.integers(1, 4))
         seq = DifferenceSequence.sample(Group(n), m, rng)
         sigma = spawn_signs(rng, m)
-        got = D.max_over_signs(seq, sigma, 3, mode="exact")
-        assert got.exact
+        got = D.max_over_signs(seq, sigma, 3)
         assert got.value == brute_max_pm(seq, sigma, 3)
         got01 = D.max_over_01(seq, sigma, 3)
         assert got01.value == brute_max_01(seq, sigma, 3)
@@ -161,21 +161,19 @@ def test_max_over_signs_witness_attains():
     rng = stream(53, 5)
     seq = DifferenceSequence.sample(Group(8), 3, rng)
     sigma = spawn_signs(rng, 3)
-    res = D.max_over_signs(seq, sigma, 3, mode="exact")
+    res = D.max_over_signs(seq, sigma, 3)
     attained = abs(D.signed_objective(seq, sigma, res.witness, 3).value)
     assert attained == res.value
 
 
-def test_heuristic_lower_bounds_exact():
-    rng = stream(53, 6)
-    for _ in range(8):
-        n = int(rng.integers(5, 10))
-        seq = DifferenceSequence.sample(Group(n), 3, rng)
-        sigma = spawn_signs(rng, 3)
-        exact = D.max_over_signs(seq, sigma, 3, mode="exact")
-        heur = D.max_over_signs(seq, sigma, 3, mode="heuristic", rng=stream(53, 7))
-        assert heur.value <= exact.value
-        assert not heur.exact
+def test_enumeration_limit_is_read_at_call_time(monkeypatch):
+    seq = DifferenceSequence(Group(5), (1, 2))
+    sigma = np.array([1, -1])
+    D.max_over_signs(seq, sigma, 3)
+    monkeypatch.setattr(_kernels, "ENUM_LIMIT", 4)
+    for fn in (D.max_over_signs, D.max_over_01, D.multilinear_dominance):
+        with pytest.raises(ValueError):
+            fn(seq, sigma, 3)
 
 
 def test_multilinear_dominance_sample():
@@ -258,7 +256,7 @@ def test_thresholds():
 
 def test_good_set_search_bounds_hold():
     g = Group(11)
-    found = D.good_set_search(g, ApParams(3), 4, stream(53, 9), attempts=100)
+    found = D.good_set_search(g, ApParams(3), 4, stream(53, 9))
     assert found.collisions <= found.collision_bound
     assert found.multiplicity <= found.multiplicity_bound
     assert len(found.seq.entries) == 4

@@ -1,4 +1,4 @@
-"""Subset-pair matrix construction, identities, pruning, dumps."""
+"""Subset-pair matrix construction, identities, pruning, the bound chain."""
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aplab import embedding as E
+from aplab import norms
 from aplab.counting import DifferenceSequence
 from aplab.discrepancy import IndexPartition
 from aplab.groups import Group
@@ -99,7 +100,6 @@ def test_quadratic_and_bilinear_forms():
     mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
     ones = np.ones(mat.dim, dtype=np.int64)
     assert mat.quadratic_form(ones) == mat.total()
-    assert mat.bilinear_form(ones, ones) == mat.total()
     dense = mat.to_dense()
     v = spawn_signs(stream(61, 1), mat.dim).astype(np.int64)
     assert mat.quadratic_form(v) == int(v @ dense @ v)
@@ -135,19 +135,6 @@ def test_prune_semantics():
     assert dist == np.abs(diff).sum()
 
 
-def test_dump_round_trip():
-    seq = DifferenceSequence(Group(11), (1, 3))
-    mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
-    text = mat.dumps()
-    head = text.splitlines()[0].split()
-    assert head == ["55", "11", "2", "1"]
-    back = E.parse_embedding_dump(text)
-    assert back == mat
-    # entries are sorted row-major
-    lines = [tuple(map(int, ln.split())) for ln in text.splitlines()[1:]]
-    assert lines == sorted(lines)
-
-
 def test_dimension_cap():
     seq = DifferenceSequence(Group(30), (1, 7))
     with pytest.raises(E.DimensionCapError):
@@ -175,3 +162,34 @@ def test_lower_bound_chain_exact_instance():
     assert report.norm_is_exact  # dim 21 is inside the enumeration budget
     assert report.ok
     assert report.norm_lower <= report.spectral_upper + 1e-6
+
+
+def test_lower_bound_chain_exact_norm_can_fail(monkeypatch):
+    seq = DifferenceSequence(Group(7), (1, 2, 3, 5))
+    part = IndexPartition((0, 1), (2, 3))
+    signs = np.ones(2, dtype=np.int64)
+    z = np.ones(7, dtype=np.int64)
+    assert E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z).ok
+    monkeypatch.setattr(norms, "inf_to_one_exact",
+                        lambda mat: (0.0, np.ones(mat.shape[0], dtype=np.int64)))
+    report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
+    assert report.norm_is_exact and report.quadratic != 0
+    assert not report.ok
+
+
+def test_lower_bound_chain_above_enumeration_limit(monkeypatch):
+    # dim comb(9, 2) = 36 is past the enumeration budget, so norm_lower is
+    # |quadratic| and only the identity and dim * spectral can fail
+    seq = DifferenceSequence(Group(9), (1, 2, 3, 4))
+    part = IndexPartition((0, 1), (2, 3))
+    signs = np.ones(2, dtype=np.int64)
+    z = np.ones(9, dtype=np.int64)
+    z[-1] = -1
+    report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
+    assert not report.norm_is_exact
+    assert report.quadratic == report.closed_form == 12
+    assert report.norm_lower == abs(report.quadratic)
+    assert report.ok
+    monkeypatch.setattr(norms, "spectral_norm", lambda mat: (0.0, True))
+    report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
+    assert report.identity_ok and not report.ok

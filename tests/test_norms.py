@@ -5,6 +5,7 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
+from aplab import _kernels
 from aplab import norms as N
 from aplab.counting import DifferenceSequence
 from aplab.embedding import pair_embedding
@@ -60,27 +61,29 @@ def test_inf_to_one_bounds_sandwich():
         assert exact <= up + 1e-9
 
 
-def test_spectral_norm_sparse_path_matches_dense():
+def test_spectral_norm_sparse_path_matches_dense(monkeypatch):
+    monkeypatch.setattr(N, "DENSE_LIMIT", 4)  # force iteration
     rng = stream(83, 2)
     for _ in range(10):
         d = int(rng.integers(5, 40))
         half = rng.integers(-3, 4, size=(d, d)).astype(np.float64)
         mat = half + half.T
         want = np.linalg.norm(mat, 2)
-        got, conv = N.spectral_norm(mat, dense_limit=4)  # force iteration
+        got, conv = N.spectral_norm(mat)
         assert conv
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
-def test_spectral_norm_on_embedding_matrix():
+def test_spectral_norm_on_embedding_matrix(monkeypatch):
     seq = DifferenceSequence(Group(11), (1, 3))
     mat = pair_embedding(seq, 0, 1, 2, 1, 20000)
     want = np.linalg.norm(mat.to_dense().astype(np.float64), 2)
-    got, conv = N.spectral_norm(mat, dense_limit=4)
-    assert conv
-    assert got == pytest.approx(want, rel=1e-6)
     got_dense, _ = N.spectral_norm(mat)  # dense route for small dims
     assert got_dense == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(N, "DENSE_LIMIT", 4)  # force iteration
+    got, conv = N.spectral_norm(mat)
+    assert conv
+    assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_one_to_one_norm_is_max_column_mass():
@@ -104,9 +107,37 @@ def test_norm_report_consistency():
     assert rep.inf_to_one_exact <= rep.dim * rep.spectral + 1e-6
     assert rep.spectral <= rep.one_to_one + 1e-9
     big = rng.standard_normal((30, 30))
-    rep2 = N.norm_report(big, enum_limit=24, rng=rng)
+    rep2 = N.norm_report(big, rng=rng)
     assert rep2.inf_to_one_exact is None
     assert rep2.inf_to_one_lower <= rep2.inf_to_one_upper
+
+
+def test_norm_report_solves_the_spectral_norm_once(monkeypatch):
+    calls = []
+    solve = N.spectral_norm
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return solve(mat)
+
+    monkeypatch.setattr(N, "spectral_norm", counted)
+    big = stream(83, 9).standard_normal((30, 30))
+    assert 30 > _kernels.ENUM_LIMIT  # the inf->1 bracket path
+    rep = N.norm_report(big, rng=stream(83, 10))
+    assert calls == [(30, 30)]
+    assert rep.spectral == pytest.approx(np.linalg.norm(big, 2))
+    assert rep.inf_to_one_lower <= rep.inf_to_one_upper
+
+
+def test_enumeration_limit_is_read_at_call_time(monkeypatch):
+    mat = np.eye(5)
+    assert N.inf_to_one_exact(mat)[0] == 5.0
+    monkeypatch.setattr(_kernels, "ENUM_LIMIT", 4)
+    with pytest.raises(ValueError):
+        N.inf_to_one_exact(mat)
+    rep = N.norm_report(mat)
+    assert rep.inf_to_one_exact is None
+    assert rep.inf_to_one_lower == 5.0
 
 
 def test_khintchine_bound_formula():
