@@ -39,6 +39,11 @@ def _epsilon_str(eps: Fraction) -> str:
     return f"{eps.numerator}/{eps.denominator}"
 
 
+def _difference_list(text: str) -> tuple[int, ...]:
+    """The comma-separated ``--differences`` value; raises ValueError."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
 def _finish(payload: dict, args, started: float) -> int:
     text = (record_to_csv(payload) if args.format == "csv"
             else dumps_record(payload) + "\n")
@@ -77,13 +82,7 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     group = Group(args.modulus)
     params = ApParams(args.k, as_density(args.epsilon))
-    try:
-        diffs = tuple(int(tok) for tok in args.differences.split(",") if tok.strip())
-    except ValueError:
-        raise SystemExit(2)
-    if not diffs:
-        print("no differences given", file=sys.stderr)
-        return 2
+    diffs = _difference_list(args.differences)
     seq = DifferenceSequence(group, diffs)
     payload = _payload("check", {
         "modulus": args.modulus, "k": args.k,
@@ -119,7 +118,7 @@ def _verify_embedding_identity(payload, seed, inject_fault: bool, dimension_cap:
         seq = DifferenceSequence.sample(group, 4, rng)
         for i in range(4):
             for j in range(4):
-                if i == j or not embedding.is_good_pair(seq, i, j, r):
+                if i == j or not discrepancy.is_good_pair(seq, i, j, r):
                     continue
                 mat = embedding.pair_embedding(seq, i, j, s, r, dimension_cap)
                 if inject_fault and checked == 0:
@@ -204,7 +203,7 @@ def _verify_chain(payload, seed, slack, dimension_cap):
             return
         found = cand
         pairs = [(i, j) for i in cand.partition.left for j in cand.partition.right]
-        if any(embedding.is_good_pair(cand.seq, i, j, 1) for i, j in pairs):
+        if any(discrepancy.is_good_pair(cand.seq, i, j, 1) for i, j in pairs):
             break  # at least one non-colliding cross pair, matrix is nonzero
     seq, part = found.seq, found.partition
     report = None
@@ -451,14 +450,28 @@ def _validate(args) -> str | None:
         return "dim must be positive"
     if getattr(args, "count", 1) < 1:
         return "count must be positive"
-    eps = getattr(args, "epsilon", None)
-    if eps is not None:
+    if getattr(args, "m", 1) < 1:
+        return "m must be positive"
+    text = getattr(args, "differences", None)
+    if text is not None:
         try:
-            val = as_density(eps)
+            diffs = _difference_list(text)
+        except ValueError:
+            return f"cannot parse differences {text!r}"
+        if not diffs:
+            return "no differences given"
+        if not all(0 <= d < args.modulus for d in diffs):
+            return f"differences must lie in 0..{args.modulus - 1}"
+    for name, closed in (("epsilon", True), ("prob", False)):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            val = as_density(text)
         except (ValueError, ZeroDivisionError):
-            return f"cannot parse epsilon {eps!r}"
-        if not 0 < val <= 1:
-            return "epsilon must lie in (0, 1]"
+            return f"cannot parse {name} {text!r}"
+        if not 0 < val <= 1 or (val == 1 and not closed):
+            return f"{name} must lie in (0, 1{']' if closed else ')'}"
     return None
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class RationalCount(NamedTuple):
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
 
 
 class SubsetMask:
@@ -54,23 +51,8 @@ class SubsetMask:
             arr[x] = 1
         return cls(group, arr)
 
-    @classmethod
-    def empty(cls, group: Group) -> "SubsetMask":
-        return cls(group, np.zeros(group.modulus, dtype=np.uint8))
-
-    @classmethod
-    def full(cls, group: Group) -> "SubsetMask":
-        return cls(group, np.ones(group.modulus, dtype=np.uint8))
-
     def indices(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.membership))
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.membership[x % self.group.modulus])
-
-    def translate(self, c: int) -> "SubsetMask":
-        """The shifted subset {a + c : a in A}."""
-        return SubsetMask(self.group, np.roll(self.membership, c % self.group.modulus))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubsetMask)
@@ -149,25 +131,3 @@ def ap_average_all(mask: SubsetMask, k: int) -> RationalCount:
     total = int(_kernels.all_diffs_count_kernel(mask.membership, k))
     return RationalCount(total, n * n)
 
-
-def find_progression(mask: SubsetMask, seq: DifferenceSequence, k: int) -> Optional[tuple[int, int]]:
-    """First (x, d) with the whole k-point progression inside the mask.
-
-    Scans differences in sequence order and starts in ascending order;
-    returns None when the mask is progression-free for this sequence.
-    """
-    if mask.group != seq.group:
-        raise ValueError("mask and sequence live in different groups")
-    n = mask.group.modulus
-    mem = mask.membership
-    seen: set[int] = set()
-    for d in seq.entries:
-        if d in seen:
-            continue
-        seen.add(d)
-        if _kernels.ap_count_kernel(mem, d, k) == 0:
-            continue
-        for x in range(n):
-            if all(mem[(x + step * d) % n] for step in range(k)):
-                return (x, d)
-    return None

@@ -49,10 +49,6 @@ class IndexPartition:
         half = m // 2
         return cls(tuple(perm[:half]), tuple(perm[half:]))
 
-    @property
-    def m(self) -> int:
-        return len(self.left) + len(self.right)
-
 
 def _as_signs(vec, length: int) -> np.ndarray:
     arr = np.ascontiguousarray(vec, dtype=np.int64)
@@ -90,27 +86,6 @@ def _window_products(seq: DifferenceSequence, zz: np.ndarray, k: int) -> np.ndar
     return zz[idx].prod(axis=2)
 
 
-def bilinear_objective(seq: DifferenceSequence, sigma, tau, part: IndexPartition,
-                       Z, k: int) -> RationalCount:
-    """Split form sum_x (sum_{i in L} sigma_i H_i)(sum_{j in R} tau_j H_j).
-
-    H_i(x) is the window product over steps 1..k-1.  Exact numerator over
-    |L|*|R|*N.
-    """
-    if not part.left or not part.right:
-        raise ValueError("both parts must be nonempty")
-    if part.m != len(seq):
-        raise ValueError("partition size does not match the sequence")
-    n = seq.group.modulus
-    sig = _as_signs(sigma, len(part.left))
-    ta = _as_signs(tau, len(part.right))
-    zz = _as_signs(Z, n)
-    H = _window_products(seq, zz, k)
-    gl = sig @ H[list(part.left)]
-    gr = ta @ H[list(part.right)]
-    return RationalCount(int(gl @ gr), len(part.left) * len(part.right) * n)
-
-
 def verify_cauchy_schwarz_step(seq: DifferenceSequence, sigma, Z, k: int) -> bool:
     """Check S^2 <= N * T with S the signed numerator and T the paired square.
 
@@ -125,14 +100,6 @@ def verify_cauchy_schwarz_step(seq: DifferenceSequence, sigma, Z, k: int) -> boo
     g = sig @ _window_products(seq, zz, k)
     t = int(g @ g)
     return s * s <= n * t
-
-
-def pair_square_total(seq: DifferenceSequence, sigma, Z, k: int) -> int:
-    """T = sum_x sum_{i,j} sigma_i sigma_j H_i(x) H_j(x) as an exact integer."""
-    sig = _as_signs(sigma, len(seq))
-    zz = _as_signs(Z, seq.group.modulus)
-    g = sig @ _window_products(seq, zz, k)
-    return int(g @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +282,25 @@ def symmetrization_sides(group: Group, m: int, k: int) -> tuple[Fraction, Fracti
 # pair-collision diagnostics and the search for well-spread sequences
 
 
-def collision_count(seq: DifferenceSequence, part: IndexPartition, r: int) -> int:
-    """Number of cross pairs whose step windows at 0 overlap.
+def is_good_pair(seq: DifferenceSequence, i: int, j: int, r: int) -> bool:
+    """True when the step windows of d_i and d_j at 0 hold 4r distinct points.
 
-    A pair (i, j) from L x R is well spread when the union of the two
-    forward windows {l*d : l in 1..2r} has the full 4r points.
+    That is, the two forward windows {l*d : l in 1..2r} are disjoint and
+    neither folds onto itself; only such pairs get a nonzero embedding.
     """
-    group = seq.group
-    bad = 0
-    for i in part.left:
-        for j in part.right:
-            pts = pair_support(group, 0, seq.entries[i], seq.entries[j], r)
-            if len(pts) < 4 * r:
-                bad += 1
-    return bad
+    pts = pair_support(seq.group, 0, seq.entries[i], seq.entries[j], r)
+    return len(pts) == 4 * r
 
 
 def good_pairs(seq: DifferenceSequence, part: IndexPartition, r: int) -> list[tuple[int, int]]:
-    """Cross pairs (i, j) whose windows at 0 are disjoint and collision free."""
-    group = seq.group
-    out = []
-    for i in part.left:
-        for j in part.right:
-            pts = pair_support(group, 0, seq.entries[i], seq.entries[j], r)
-            if len(pts) == 4 * r:
-                out.append((i, j))
-    return out
+    """Cross pairs (i, j) in L x R that are good pairs, in L-major order."""
+    return [(i, j) for i in part.left for j in part.right
+            if is_good_pair(seq, i, j, r)]
+
+
+def collision_count(seq: DifferenceSequence, part: IndexPartition, r: int) -> int:
+    """Number of cross pairs in L x R that are not good pairs."""
+    return len(part.left) * len(part.right) - len(good_pairs(seq, part, r))
 
 
 def max_multiplicity(seq: DifferenceSequence, r: int) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels, norms
 from .counting import DifferenceSequence
-from .discrepancy import IndexPartition, good_pairs
+from .discrepancy import IndexPartition, is_good_pair
 from .groups import pair_support, single_support
 
 DIMENSION_CAP_DEFAULT = 20000
@@ -32,7 +32,7 @@ class DimensionCapError(ValueError):
 
 
 class SubsetIndexer:
-    """Colexicographic rank/unrank bijection for s-subsets of 0..n-1.
+    """Colexicographic ranking of the s-subsets of 0..n-1.
 
     The rank of a sorted subset a_0 < a_1 < ... is sum_i comb(a_i, i+1);
     subsets compare by their largest differing element.
@@ -57,21 +57,6 @@ class SubsetIndexer:
             prev = a
             total += comb(a, i + 1)
         return total
-
-    def unrank(self, rank: int) -> tuple[int, ...]:
-        if not 0 <= rank < self.count:
-            raise ValueError("rank out of range")
-        out = []
-        rem = rank
-        bound = self.n
-        for i in range(self.s, 0, -1):
-            a = bound - 1
-            while comb(a, i) > rem:
-                a -= 1
-            out.append(a)
-            rem -= comb(a, i)
-            bound = a
-        return tuple(reversed(out))
 
     def iter_subsets(self) -> Iterator[tuple[int, ...]]:
         """All s-subsets in rank (colex) order.
@@ -123,9 +108,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.indexer.count
 
-    def entry(self, row: int, col: int) -> int:
-        return self.entries.get((row, col), 0)
-
     def nnz(self) -> int:
         return len(self.entries)
 
@@ -152,13 +134,6 @@ class EmbeddingMatrix:
         return sum(v * int(arr[row]) * int(arr[col])
                    for (row, col), v in self.entries.items())
 
-    def to_coo(self):
-        keys = sorted(self.entries)
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([k[1] for k in keys], dtype=np.int64)
-        vals = np.array([self.entries[k] for k in keys], dtype=np.int64)
-        return rows, cols, vals
-
     def to_dense(self) -> np.ndarray:
         if self.dim > DENSE_DIM_CAP:
             raise ValueError(f"dense form limited to dimension {DENSE_DIM_CAP}")
@@ -170,8 +145,11 @@ class EmbeddingMatrix:
     def to_sparse(self):
         from scipy.sparse import coo_matrix
 
-        rows, cols, vals = self.to_coo()
-        return coo_matrix((vals.astype(np.float64), (rows, cols)),
+        keys = sorted(self.entries)
+        rows = np.array([k[0] for k in keys], dtype=np.int64)
+        cols = np.array([k[1] for k in keys], dtype=np.int64)
+        vals = np.array([self.entries[k] for k in keys], dtype=np.float64)
+        return coo_matrix((vals, (rows, cols)),
                           shape=(self.dim, self.dim)).tocsr()
 
     def scale_add(self, others: list[tuple[int, "EmbeddingMatrix"]]) -> "EmbeddingMatrix":
@@ -205,12 +183,6 @@ class EmbeddingMatrix:
     def __repr__(self) -> str:
         return (f"EmbeddingMatrix(N={self.n}, s={self.s}, r={self.r}, "
                 f"dim={self.dim}, nnz={self.nnz()})")
-
-
-def is_good_pair(seq: DifferenceSequence, i: int, j: int, r: int) -> bool:
-    """True when the two step windows at 0 are disjoint with no collisions."""
-    pts = pair_support(seq.group, 0, seq.entries[i], seq.entries[j], r)
-    return len(pts) == 4 * r
 
 
 def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int, r: int,
@@ -368,8 +340,9 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     inf->1 norm of the aggregated matrix dominates.
 
     The aggregated matrix is sum over (i, j) in L x R of sigma_i tau_j
-    M(i, j).  Its quadratic form at lift(Z) must equal the closed-form
-    window sum (exact integers), and |quadratic| must lie below
+    M(i, j), built as sum_i sigma_i * ``aggregate_pair_embeddings``.  Its
+    quadratic form at lift(Z) must equal the closed-form window sum
+    (exact integers), and |quadratic| must lie below
     dim * spectral.  Up to ``_kernels.ENUM_LIMIT`` the inf->1 norm is
     enumerated exactly and must dominate |quadratic| as well.  Above it
     ``norm_lower`` is |quadratic| itself, a valid lower bound (lift(Z) is
@@ -383,24 +356,16 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     if ta.shape != (len(part.right),) or not np.all(np.abs(ta) == 1):
         raise ValueError("tau must be a -1/+1 vector matching the right part")
     n = seq.group.modulus
-    acc = EmbeddingMatrix(n, s, r, {})
-    pieces = []
-    for pos_i, i in enumerate(part.left):
-        for pos_j, j in enumerate(part.right):
-            pieces.append((int(sig[pos_i]) * int(ta[pos_j]),
-                           pair_embedding(seq, i, j, s, r, dimension_cap)))
-    mat = acc.scale_add(pieces)
+    mat = EmbeddingMatrix(n, s, r, {}).scale_add(
+        [(int(sig[pos]), aggregate_pair_embeddings(seq, i, ta, part.right, s, r,
+                                                   dimension_cap))
+         for pos, i in enumerate(part.left)])
     lifted = lift_signs(Z, s)
     quad = mat.quadratic_form(lifted)
-    scale = embedding_scale(n, s, r)
-    goods = set(good_pairs(seq, part, r))
-    closed = 0
-    for pos_i, i in enumerate(part.left):
-        for pos_j, j in enumerate(part.right):
-            if (i, j) in goods:
-                closed += (int(sig[pos_i]) * int(ta[pos_j])
-                           * pair_window_sum(seq, i, j, r, Z))
-    closed *= scale
+    closed = embedding_scale(n, s, r) * sum(
+        int(sig[pos_i]) * int(ta[pos_j]) * pair_window_sum(seq, i, j, r, Z)
+        for pos_i, i in enumerate(part.left) for pos_j, j in enumerate(part.right)
+        if is_good_pair(seq, i, j, r))
     identity_ok = quad == closed
 
     spectral, _ = norms.spectral_norm(mat)

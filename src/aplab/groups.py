@@ -1,9 +1,9 @@
-"""Modular arithmetic over Z/N and progression-support generation."""
+"""Modular arithmetic over Z/N and step-window supports."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, gcd
+from math import ceil
 
 # (k-1)! has to stay far from 64-bit overflow in downstream counting loops.
 MAX_PROGRESSION_LENGTH = 20
@@ -34,12 +34,6 @@ class Group:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("group modulus must be a positive integer")
-
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
-
-    def elements(self) -> range:
-        return range(self.modulus)
 
 
 @dataclass(frozen=True)
@@ -75,27 +69,9 @@ class ApParams:
         return (self.k - 1) // 2
 
 
-def check_coprime(group: Group, params: ApParams) -> bool:
-    """True when N shares no factor with (k-1)!.
-
-    Under this condition the k points x, x+d, ..., x+(k-1)d are pairwise
-    distinct for every nonzero d, so progression counts are not inflated by
-    wrap-around collisions.
-    """
-    return gcd(group.modulus, factorial(params.k - 1)) == 1
-
-
 def density_target(group: Group, params: ApParams) -> int:
     """Smallest admissible set size, ceil(epsilon * N), computed exactly."""
     return ceil(params.epsilon * group.modulus)
-
-
-def progression_support(group: Group, x: int, d: int, k: int) -> list[int]:
-    """The k points x, x+d, ..., x+(k-1)d reduced mod N, in step order."""
-    if k < 1:
-        raise ValueError("progression length must be at least 1")
-    n = group.modulus
-    return [(x + step * d) % n for step in range(k)]
 
 
 def pair_support(group: Group, x: int, d_i: int, d_j: int, r: int) -> set[int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .counting import DifferenceSequence
-from .embedding import is_good_pair
+from .discrepancy import is_good_pair
 from .groups import as_density, single_support
 
 

@@ -8,7 +8,7 @@ exactly.
 import json
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -19,7 +19,7 @@ from aplab import embedding as E
 from aplab import hyperpoly as H
 from aplab import norms as N
 from aplab.cli import main
-from aplab.counting import DifferenceSequence, SubsetMask, ap_average
+from aplab.counting import DifferenceSequence
 from aplab.groups import ApParams, Group, as_density, density_target
 from aplab.intersectivity import estimate_critical_size, is_intersective_exact
 from aplab.rng import spawn_signs, stream
@@ -97,7 +97,7 @@ def test_criterion_02_embedding_identity_exact(criterion):
         seq = DifferenceSequence.sample(g, 4, rng)
         for i in range(4):
             for j in range(4):
-                if i == j or not E.is_good_pair(seq, i, j, r):
+                if i == j or not D.is_good_pair(seq, i, j, r):
                     continue
                 mat = E.pair_embedding(seq, i, j, s, r, 20000)
                 for _ in range(50):
@@ -125,7 +125,7 @@ def test_criterion_03_embedding_total_closed_form(criterion):
     for _ in range(5):
         sq = DifferenceSequence.sample(Group(11), 3, rng)
         for i, j in combinations(range(3), 2):
-            if E.is_good_pair(sq, i, j, 1):
+            if D.is_good_pair(sq, i, j, 1):
                 assert E.pair_embedding(sq, i, j, 2, 1, 20000).total() == 44
     criterion["pass"] = True
 
@@ -218,7 +218,7 @@ def test_criterion_09_row_weight_mean(criterion):
     done = 0
     while done < 10:
         seq = DifferenceSequence.sample(Group(11), 2, rng)
-        if not E.is_good_pair(seq, 0, 1, 1):
+        if not D.is_good_pair(seq, 0, 1, 1):
             continue
         closed = H.row_weight_mean_closed_form(seq, 0, [1], 2, 1)
         enum = H.row_weight_mean_enumerated(seq, 0, [1], 2, 1)
@@ -274,7 +274,7 @@ def test_criterion_11_pruning(criterion):
     and the removed mass dominating the exact inf->1 distance (dim <= 20)."""
     g = Group(5)
     seq = DifferenceSequence(g, (1, 4))
-    assert E.is_good_pair(seq, 0, 1, 1)
+    assert D.is_good_pair(seq, 0, 1, 1)
     mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
     assert mat.dim == 10
     weights = mat.row_weights()

@@ -145,16 +145,22 @@ def test_csv_output_format(capsys, tmp_path):
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["critical-size", "--modulus", "0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["critical-size", "--modulus", "5", "--epsilon", "1.5"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in (["critical-size", "--modulus", "0"],
+                 ["critical-size", "--modulus", "5", "--epsilon", "1.5"],
+                 ["no-such-command"],
+                 ["check", "--modulus", "7", "--differences", "1,x"],
+                 ["check", "--modulus", "7", "--differences", "9"],
+                 ["check", "--modulus", "7", "--differences", ","],
+                 ["kimvu", "--m", "0"],
+                 ["kimvu", "--single-edge", "--prob", "abc"],
+                 ["kimvu", "--single-edge", "--prob", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "runs.ledger")])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.strip(), argv
+        assert captured.out == "", argv
+    assert not (tmp_path / "runs.ledger").exists()
 
 
 def test_flags_belong_to_their_subcommands(capsys, tmp_path):

@@ -1,12 +1,9 @@
 from fractions import Fraction
-from itertools import product
 
-import numpy as np
 import pytest
 
 from aplab.counting import (DifferenceSequence, RationalCount, SubsetMask,
-                            ap_average, ap_average_all, ap_count,
-                            find_progression)
+                            ap_average, ap_average_all, ap_count)
 from aplab.groups import Group
 from aplab.rng import stream
 
@@ -23,19 +20,13 @@ def brute_count(members: set, n: int, d: int, k: int) -> int:
 def test_rational_count():
     rc = RationalCount(2, 10)
     assert rc.value == Fraction(1, 5)
-    assert float(rc) == 0.2
 
 
 def test_subset_mask_basics():
     g = Group(7)
     m = SubsetMask.from_indices(g, [0, 3, 5])
     assert m.cardinality == 3
-    assert 3 in m and 1 not in m
     assert list(m.indices()) == [0, 3, 5]
-    assert SubsetMask.full(g).cardinality == 7
-    assert SubsetMask.empty(g).cardinality == 0
-    shifted = m.translate(2)
-    assert sorted(shifted.indices()) == [0, 2, 5]
     with pytest.raises(ValueError):
         SubsetMask.from_indices(g, [7])
 
@@ -49,7 +40,7 @@ def test_ap_count_known_values():
     m7 = SubsetMask.from_indices(g7, [0, 1, 3, 4])
     assert ap_count(m7, 1, 3).numerator == 0
     # full set carries all N starts for any difference
-    assert ap_count(SubsetMask.full(g), 2, 3) == RationalCount(5, 5)
+    assert ap_count(SubsetMask.from_indices(g, range(5)), 2, 3) == RationalCount(5, 5)
 
 
 def test_ap_count_matches_brute_force():
@@ -78,16 +69,6 @@ def test_ap_average_and_all():
     assert alltot == RationalCount(5, 25)
     wantall = sum(brute_count({0, 1, 2}, 5, d, 3) for d in range(5))
     assert alltot.numerator == wantall
-
-
-def test_find_progression():
-    g = Group(5)
-    mask = SubsetMask.from_indices(g, [0, 1, 3])
-    assert find_progression(mask, DifferenceSequence(g, (3,)), 3) == (0, 3)
-    assert find_progression(mask, DifferenceSequence(g, (1,)), 3) is None
-    # earlier sequence entry wins even if a later one also matches
-    seq = DifferenceSequence(g, (1, 3, 2))
-    assert find_progression(mask, seq, 3) == (0, 3)
 
 
 def test_sequence_validation_and_sampling():

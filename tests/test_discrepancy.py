@@ -15,7 +15,7 @@ from aplab.rng import spawn_signs, stream
 
 def test_partition_basics():
     part = D.IndexPartition((0, 2), (1, 3))
-    assert part.m == 4
+    assert (part.left, part.right) == ((0, 2), (1, 3))
     with pytest.raises(ValueError):
         D.IndexPartition((0, 1), (1, 2))  # overlap
     with pytest.raises(ValueError):
@@ -81,45 +81,6 @@ def test_cauchy_schwarz_step_many_instances():
         sigma = spawn_signs(rng, m)
         zz = spawn_signs(rng, n)
         assert D.verify_cauchy_schwarz_step(seq, sigma, zz, k)
-
-
-def test_pair_square_total_identity():
-    # T = sum_x (sum_i sigma_i H_i(x))^2 expands to the double sum over pairs
-    rng = stream(53, 2)
-    for _ in range(20):
-        n = int(rng.integers(3, 12))
-        m = int(rng.integers(1, 5))
-        k = int(rng.choice([3, 5]))
-        seq = DifferenceSequence.sample(Group(n), m, rng)
-        sigma = spawn_signs(rng, m)
-        zz = spawn_signs(rng, n)
-        t = D.pair_square_total(seq, sigma, zz, k)
-        s = D.signed_total(seq, sigma, zz, k)
-        assert s * s <= n * t  # the pointwise bound again, via the identity
-
-
-def test_bilinear_objective_consistency():
-    rng = stream(53, 3)
-    g = Group(9)
-    seq = DifferenceSequence.sample(g, 4, rng)
-    part = D.IndexPartition((0, 1), (2, 3))
-    sigma = spawn_signs(rng, 2)
-    tau = spawn_signs(rng, 2)
-    zz = spawn_signs(rng, 9)
-    got = D.bilinear_objective(seq, sigma, tau, part, zz, 3)
-    # direct expansion over the split double sum
-    n = g.modulus
-    total = 0
-    for a, i in enumerate(part.left):
-        for b, j in enumerate(part.right):
-            for x in range(n):
-                prod = 1
-                for step in range(1, 3):
-                    prod *= int(zz[(x + step * seq.entries[i]) % n])
-                    prod *= int(zz[(x + step * seq.entries[j]) % n])
-                total += int(sigma[a]) * int(tau[b]) * prod
-    assert got.numerator == total
-    assert got.denominator == 2 * 2 * n
 
 
 def brute_max_pm(seq, sigma, k):
@@ -243,6 +204,31 @@ def test_collision_and_multiplicity():
                  seq.entries[j], (2 * seq.entries[j]) % 11}) < 4])
     gp = D.good_pairs(seq, part, 1)
     assert all(i in (0, 1) and j in (2, 3) for i, j in gp)
+    # seeded grid: sequences holding 0, floor(N/2) and a repeated entry,
+    # against the 4r-distinct filter written out point by point
+    rng = stream(53, 10)
+    seen_good = seen_bad = 0
+    for n in range(5, 31):
+        for r in (1, 2):
+            m = int(rng.integers(4, 8))
+            entries = [int(d) for d in rng.integers(0, n, size=m)]
+            entries[0], entries[1] = 0, n // 2
+            entries[-1] = entries[int(rng.integers(0, m - 1))]
+            seq = DifferenceSequence(Group(n), tuple(entries[t] for t in rng.permutation(m)))
+            part = D.IndexPartition.random_balanced(m, rng)
+            want = []
+            for i in part.left:
+                for j in part.right:
+                    pts = [(step * seq.entries[t]) % n for t in (i, j)
+                           for step in range(1, 2 * r + 1)]
+                    if len(set(pts)) == 4 * r:
+                        want.append((i, j))
+            assert D.good_pairs(seq, part, r) == want, (n, r, seq.entries)
+            pairs = len(part.left) * len(part.right)
+            assert D.collision_count(seq, part, r) + len(want) == pairs
+            seen_good += len(want)
+            seen_bad += pairs - len(want)
+    assert seen_good > 0 and seen_bad > 0
     assert D.max_multiplicity(DifferenceSequence(Group(7), (1,)), 1) == 1
     # repeated differences pile their windows onto the same points
     assert D.max_multiplicity(DifferenceSequence(Group(7), (1, 1, 1)), 1) == 3

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from aplab.groups import (ApParams, Group, as_density, check_coprime,
-                          density_target, pair_support, progression_support,
-                          single_support)
+from aplab.groups import (ApParams, Group, as_density, density_target,
+                          pair_support, single_support)
 
 
 def test_as_density_decimal_exactness():
@@ -27,9 +26,6 @@ def test_density_target_avoids_float_ceil():
 def test_group_validation():
     with pytest.raises(ValueError):
         Group(0)
-    g = Group(7)
-    assert g.reduce(-1) == 6
-    assert list(g.elements()) == list(range(7))
 
 
 def test_params_validation():
@@ -44,20 +40,6 @@ def test_params_validation():
     assert p.r == 2
     with pytest.raises(ValueError):
         _ = ApParams(4).r  # even k has no half-length
-
-
-def test_check_coprime():
-    assert check_coprime(Group(5), ApParams(3))
-    assert not check_coprime(Group(6), ApParams(3))  # gcd(6, 2!) = 2
-    assert check_coprime(Group(25), ApParams(5))     # gcd(25, 24) = 1
-    assert not check_coprime(Group(25), ApParams(6))  # 5 divides 5!
-
-
-def test_progression_support():
-    assert progression_support(Group(5), 3, 4, 3) == [3, 2, 1]
-    assert progression_support(Group(7), 0, 2, 4) == [0, 2, 4, 6]
-    with pytest.raises(ValueError):
-        progression_support(Group(5), 0, 1, 0)
 
 
 def test_pair_and_single_support():

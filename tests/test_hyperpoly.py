@@ -1,7 +1,6 @@
 """Multiplicity hypergraphs, moment profiles, and the two averaging models."""
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 import numpy as np
 import pytest

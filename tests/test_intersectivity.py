@@ -1,7 +1,6 @@
 """Exact decider, heuristic search, and the sampling layer."""
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from aplab import _kernels, intersectivity
