@@ -9,7 +9,7 @@ of its swap passes rescans only the vertices an eviction can unblock.
 Callers reach every kernel as a ``_kernels`` attribute at call time, so
 a wrapper installed on the module sees every call.  All kernels are
 exact integer computations except the operator-norm scan, which works
-in float64.
+in float64 and is exact on integer-valued matrices.
 """
 from __future__ import annotations
 
@@ -78,7 +78,15 @@ def all_diffs_count_kernel(mem, k):
 #
 # Assignments are scanned in chunks of consecutive codes; a set bit in a
 # reported mask means that vertex carries -1 (over {-1,+1}) or 1 (over
-# {0,1}).  Terms arrive as coefficients plus vertex bitmasks.
+# {0,1}).  Terms arrive as coefficients plus vertex bitmasks.  Each
+# kernel reports the first maximizing code.
+#
+# The inf->1 scan uses the sign symmetry ||M^T u||_1 = ||M^T (-u)||_1 to
+# visit only the codes with the top bit clear, and needs no matrix
+# product per chunk: the signed sums of the rows under the low bits form
+# a table built once, and each chunk of codes sharing the high bits
+# shifts every table column by one constant.  On integer-valued input
+# these sums are exact, so the result equals the full 2**d scan.
 
 
 def pm_enum_kernel(nvert, base, term_coef, term_masks):
@@ -121,23 +129,48 @@ def z01_enum_kernel(nvert, base, term_coef, term_masks):
     return int(best), best_mask
 
 
+def _signed_row_sums(rows):
+    """Column-major table T with T[:, c] = sum_b s_b rows[b], s_b = -1 iff bit b of c."""
+    table = np.zeros((rows.shape[1], 1 << rows.shape[0]))
+    for b, row in enumerate(rows):
+        n = 1 << b
+        np.subtract(table[:, :n], row[:, None], out=table[:, n:2 * n])
+        table[:, :n] += row[:, None]
+    return table
+
+
 def infone_enum_kernel(mat):
-    """Max of ||M^T u||_1 over u in {-1,+1}^d; a set mask bit means u = -1."""
+    """Max of ||M^T u||_1 over u in {-1,+1}^d; a set mask bit means u = -1.
+
+    Returns the first maximizing code.  Since ||M^T u||_1 = ||M^T (-u)||_1
+    and complementing a code with bit d-1 set gives a smaller one, that
+    code has u_{d-1} = +1, so only the 2**(d-1) codes below 2**(d-1) are
+    scanned.  Their low ``_CHUNK_BITS`` bits index a table P of signed
+    row sums of M built once; each block of codes sharing its high bits
+    adds one offset row q and takes sum_j |P[j] + q_j| column by column.
+    For integer-valued M with entry mass sum |M_ij| below 2**53 every
+    partial sum is an exact integer, so the value and the mask are exact;
+    other input gets the maximum up to float rounding.
+    """
     d = mat.shape[0]
+    low = min(d - 1, _CHUNK_BITS)
+    table = _signed_row_sums(mat[:low])
+    offsets = (_signed_row_sums(mat[low:d - 1]) + mat[d - 1][:, None]).T
+    vals = np.empty(table.shape[1])
+    term = np.empty(table.shape[1])
     best = -1.0
     best_mask = 0
-    total = 1 << d
-    chunk = 1 << min(d, _CHUNK_BITS)
-    shifts = np.arange(d, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, start + chunk, dtype=np.uint64)
-        bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)
-        signs = 1.0 - 2.0 * bits.astype(np.float64)
-        vals = np.abs(signs @ mat).sum(axis=1)
+    for high, q in enumerate(offsets):
+        np.add(table[0], q[0], out=vals)
+        np.abs(vals, out=vals)
+        for col, qj in zip(table[1:], q[1:]):
+            np.add(col, qj, out=term)
+            np.abs(term, out=term)
+            vals += term
         pos = int(np.argmax(vals))
         if vals[pos] > best:
             best = float(vals[pos])
-            best_mask = int(codes[pos])
+            best_mask = (high << low) | pos
     return best, best_mask
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import discrepancy, embedding, hyperpoly, norms
 from .counting import DifferenceSequence
-from .groups import ApParams, Group, as_density, density_target
+from .groups import (MAX_PROGRESSION_LENGTH, ApParams, Group, as_density,
+                     density_target)
 from .intersectivity import (EXACT_LIMIT_DEFAULT, estimate_critical_size,
                              is_intersective_exact, max_free_heuristic)
 from .records import VERSION, append_ledger, dumps_record, record_to_csv
@@ -268,6 +269,16 @@ def cmd_khintchine(args) -> int:
     return _finish(payload, args, started)
 
 
+def _kimvu_sizes(args) -> tuple[int, int, int]:
+    """Half-length r, set size s and fixed-set budget t of a kimvu run."""
+    r = ApParams(args.k).r
+    # default block size keeps the set-side average away from the trivial
+    # zero case (t must exceed the largest edge minus one)
+    s = args.s if args.s is not None else max(4 * r, embedding.default_block_size(args.modulus, args.k))
+    t = args.t if args.t is not None else max(2 * r, s // 2)
+    return r, s, t
+
+
 def cmd_kimvu(args) -> int:
     started = time.monotonic()
     n = args.modulus
@@ -290,12 +301,7 @@ def cmd_kimvu(args) -> int:
                      "mu_0 = p, mu_1 = 1")
         return _finish(payload, args, started)
 
-    params = ApParams(args.k, Fraction(1, 2))
-    r = params.r
-    # default block size keeps the set-side average away from the trivial
-    # zero case (t must exceed the largest edge minus one)
-    s = args.s if args.s is not None else max(4 * r, embedding.default_block_size(n, args.k))
-    t = args.t if args.t is not None else max(2 * r, s // 2)
+    r, s, t = _kimvu_sizes(args)
     p = Fraction(s, n)
     payload = _payload("kimvu", {
         "modulus": n, "k": args.k, "m": args.m, "s": s, "t": t,
@@ -444,8 +450,8 @@ def _validate(args) -> str | None:
         return "modulus must be positive"
     if getattr(args, "trials", 1) < 1:
         return "trials must be positive"
-    if getattr(args, "k", 2) < 2:
-        return "k must be at least 2"
+    if not 2 <= getattr(args, "k", 2) <= MAX_PROGRESSION_LENGTH:
+        return f"k must lie in [2, {MAX_PROGRESSION_LENGTH}]"
     if getattr(args, "dim", 1) < 1:
         return "dim must be positive"
     if getattr(args, "count", 1) < 1:
@@ -472,6 +478,15 @@ def _validate(args) -> str | None:
             return f"cannot parse {name} {text!r}"
         if not 0 < val <= 1 or (val == 1 and not closed):
             return f"{name} must lie in (0, 1{']' if closed else ')'}"
+    if args.command == "kimvu" and not args.single_edge:
+        # the preconditions of ApParams.r and verify_set_vs_bernoulli at p = s/N
+        if args.k % 2 == 0:
+            return "half-length r requires odd k"
+        _, s, t = _kimvu_sizes(args)
+        if not 0 < s < args.modulus:
+            return f"s must lie in 1..{args.modulus - 1}, got {s}"
+        if not 0 <= t <= s / 2:
+            return f"need 0 <= t <= s/2, got t={t} and s={s}"
     return None
 
 

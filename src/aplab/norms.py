@@ -90,7 +90,10 @@ def inf_to_one_exact(mat) -> tuple[float, np.ndarray]:
 
     Only u is enumerated; the optimal v is sign(M^T u) with ties going
     to +1, so the value is max over u of ||M^T u||_1.  Feasible for
-    dimension <= ``_kernels.ENUM_LIMIT``.
+    dimension <= ``_kernels.ENUM_LIMIT``.  For integer-valued M (every
+    caller in the package) the value and u are exact: u is the first
+    maximizer in code order, and its last entry is +1.  Other input gets
+    the maximum up to float rounding.
     """
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -122,9 +125,12 @@ def _inf_to_one_bracket(kind: str, a, spectral: float, rng) -> tuple[float, floa
     at = a.T.tocsr() if kind == "sparse" else a.T
     if kind == "sparse":
         entry_mass = float(np.abs(a.data).sum()) if a.nnz else 0.0
+        # power iteration undershoots ||M||; sqrt(||M||_1 ||M||_inf) does not
+        norm_bound = sqrt(one_to_one_norm(a) * one_to_one_norm(at))
     else:
         entry_mass = float(np.abs(a).sum())
-    upper = min(dim * spectral, entry_mass)
+        norm_bound = spectral
+    upper = min(dim * norm_bound, entry_mass)
 
     def ascend(u0: np.ndarray) -> float:
         u = u0
@@ -151,12 +157,13 @@ def inf_to_one_bounds(mat, rng=None) -> tuple[float, float]:
     Lower bound: alternating ascent u -> sign(Mv), v -> sign(M^T u) from
     the all-ones start plus ``ASCENT_RESTARTS`` random starts when a
     generator is given; each iterate is a feasible sign pair, so the
-    lower end is certified.  Upper end: the smaller of dim * spectral and
-    the total l1 mass of the entries.  It holds (up to rounding) only when
-    the spectral norm comes from the dense solve: above ``DENSE_LIMIT``
-    the power iteration approaches ||M|| from below, so dim * spectral
-    can fall under the true norm and under the lower end (the 600 x 600
-    identity gives lower 600 and upper 599.99999999999989).
+    lower end is certified.  Upper end: the smaller of the total l1 mass
+    of the entries and dim times a bound on ||M||.  Up to ``DENSE_LIMIT``
+    that bound is the dense spectral norm.  Above it the power iteration
+    approaches ||M|| from below, so the bound is instead
+    sqrt(||M||_1 ||M||_inf), the geometric mean of the largest column
+    and row l1 weights, which always dominates ||M||.  Either way the
+    upper end holds up to rounding.
     """
     kind, obj = _as_dense_or_sparse(mat)
     spectral, _ = spectral_norm(obj)

@@ -153,7 +153,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["check", "--modulus", "7", "--differences", ","],
                  ["kimvu", "--m", "0"],
                  ["kimvu", "--single-edge", "--prob", "abc"],
-                 ["kimvu", "--single-edge", "--prob", "2"]):
+                 ["kimvu", "--single-edge", "--prob", "2"],
+                 ["kimvu", "--k", "4"],
+                 ["critical-size", "--modulus", "5", "--k", "21"],
+                 ["kimvu", "--s", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv

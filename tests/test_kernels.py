@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 
 from aplab import _kernels as K
+from aplab import norms
 from aplab.counting import DifferenceSequence
 from aplab.groups import Group
 from aplab.intersectivity import minimal_forbidden_sets
@@ -190,16 +191,44 @@ def test_01_enumeration_matches_brute_force():
         assert abs(tot) == want
 
 
+def brute_infone(mat):
+    """Value and first maximizing code of ||M^T u||_1 over all 2**d codes."""
+    d = mat.shape[0]
+    best, best_code = -1.0, 0
+    shifts = np.arange(d, dtype=np.uint64)
+    for start in range(0, 1 << d, 1 << 14):
+        codes = np.arange(start, min(start + (1 << 14), 1 << d), dtype=np.uint64)
+        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+        vals = np.abs(signs @ mat).sum(axis=1)
+        pos = int(np.argmax(vals))
+        if vals[pos] > best:
+            best, best_code = float(vals[pos]), start + pos
+    return best, best_code
+
+
 def test_infone_enumeration_matches_brute_force():
+    """Value and first maximizing code, on random and tie-heavy matrices.
+
+    Dimensions 17 and 18 put bits above the kernel's low-bit table.  The
+    last case is the rank-one v v^T at the enumeration limit, whose value
+    is ||v||_1^2 and whose only maximizers are +/- sign(v).
+    """
     rng = stream(31, 2)
-    for _ in range(20):
-        d = int(rng.integers(1, 8))
-        mat = rng.integers(-3, 4, size=(d, d)).astype(np.float64)
-        want = 0.0
-        for signs in product((1.0, -1.0), repeat=d):
-            want = max(want, float(np.abs(np.array(signs) @ mat).sum()))
-        got, _ = K.infone_enum_kernel(mat)
-        assert got == want
+    mats = [rng.integers(-3, 4, size=(d, d)).astype(np.float64)
+            for d in list(rng.integers(1, 12, size=20)) + [17, 18]]
+    row = rng.integers(-2, 3, size=9).astype(np.float64)
+    mats += [np.zeros((1, 1)), np.array([[-2.0]]), np.zeros((7, 7)), np.eye(1),
+             np.eye(6), np.eye(17), np.tile(row, (9, 1)),
+             np.vstack([row, row, -row, np.eye(9)[:6]])]
+    for mat in mats:
+        got = K.infone_enum_kernel(mat)
+        assert got == brute_infone(mat), mat.shape
+        assert got[1] < 1 << (mat.shape[0] - 1)  # u and -u tie; the first has u_last = +1
+    d = K.ENUM_LIMIT
+    v = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=d)
+    val, u = norms.inf_to_one_exact(np.outer(v, v))
+    assert val == np.abs(v).sum() ** 2
+    assert np.array_equal(u, np.sign(v) * np.sign(v[-1]))
 
 
 def test_ap_count_kernel_paths_agree():

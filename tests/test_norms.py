@@ -59,6 +59,11 @@ def test_inf_to_one_bounds_sandwich():
         lo, up = N.inf_to_one_bounds(mat, rng=rng)
         assert lo <= exact + 1e-9
         assert exact <= up + 1e-9
+    # above DENSE_LIMIT the spectral norm comes from power iteration
+    dim = N.DENSE_LIMIT + 88
+    lo, up = N.inf_to_one_bounds(np.eye(dim), rng=rng)
+    assert lo == dim
+    assert lo <= up
 
 
 def test_spectral_norm_sparse_path_matches_dense(monkeypatch):
