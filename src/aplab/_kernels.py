@@ -1,9 +1,11 @@
 """Hot numeric kernels, one implementation each.
 
 The counting, enumeration and polynomial kernels are vectorized numpy;
-the greedy free-set search is a plain Python loop over lists converted
-once per call from the CSR arrays built by ``csr_incidence``, and each
-of its swap passes rescans only the vertices an eviction can unblock.
+the greedy free-set search is a Python loop over an integer bitset of
+members, with partner bitmasks for two-vertex edges and room counters
+for the rest read from the CSR arrays built by ``csr_incidence``, and
+each of its swap passes rescans only the vertices an eviction can
+unblock.
 ``csr_incidence`` has two callers: the heuristic free-set search in
 ``intersectivity`` and ``HypergraphPoly`` in ``hyperpoly``.
 Callers reach every kernel as a ``_kernels`` attribute at call time, so
@@ -203,13 +205,19 @@ def row_weight_kernel(u, d_i, good, r, n):
 # ---------------------------------------------------------------------------
 # greedy independent-set search with swap passes
 #
-# Edges are forbidden vertex subsets.  A vertex can join the working set
-# only if no edge would become fully included; room[e] counts how many
-# more members edge e can take, so a vertex is blocked exactly when one of
-# its edges has no room left.  Each swap pass evicts one pseudo-random
-# member and then greedily refills along the restart's permutation.  All
-# randomness arrives through perms/removals, so the search is a
-# deterministic function of its arguments.
+# Edges are forbidden vertex subsets, and the working set is one Python
+# int, bit v set when vertex v is a member.  A vertex can join only if no
+# edge would become fully included.  A two-vertex edge blocks v exactly
+# when its other end is a member, so those edges are folded into one
+# partner bitmask per vertex and tested as ``members & partners[v]``.
+# Every other edge keeps a room counter: room[e] counts how many more
+# members edge e can take (none for a one-vertex edge), and v is blocked
+# when one of its counted edges has no room left.  Each swap pass evicts
+# the first member at or cyclically after a pseudo-random probe, found as
+# the lowest set bit of the members shifted past the probe, and then
+# greedily refills along the restart's permutation.  All randomness
+# arrives through perms/removals, so the search is a deterministic
+# function of its arguments.
 #
 # Refill invariant: after the greedy pass and after every refill, each
 # non-member except the latest victim is blocked.  Adding members only
@@ -223,65 +231,82 @@ def row_weight_kernel(u, d_i, good, r, n):
 # checks at scan time, adds exactly the vertices the full scan would.
 
 
-def _apfree_search_body(nvert, target, edge_ptr, edge_vtx, edge_size,
-                        v_ptr, v_edges, perms, removals):
+def _bit_vector(members, nvert):
+    """uint8 membership vector of the int bitset ``members``."""
+    packed = np.frombuffer(members.to_bytes((nvert + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=nvert, bitorder="little")
+
+
+def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
+                         v_ptr, v_edges, perms, removals):
+    """Best free set found by greedy restarts with swap passes.
+
+    Returns ``(size, mask)``, mask a uint8 membership vector; stops as
+    soon as a set of size ``target`` is found.
+    """
     ptr, vtx, incident, bounds = (a.tolist() for a in (edge_ptr, edge_vtx, v_edges, v_ptr))
     edge_verts = [vtx[ptr[e]:ptr[e + 1]] for e in range(len(ptr) - 1)]
-    vert_edges = [incident[bounds[v]:bounds[v + 1]] for v in range(nvert)]
+    bits = [1 << v for v in range(nvert)]
+    partners = [0] * nvert  # the other ends of v's two-vertex edges
+    counted = [[] for _ in range(nvert)]  # v's other edges, each with a room counter
+    for e, verts in enumerate(edge_verts):
+        if len(verts) == 2:
+            u, w = verts
+            partners[u] |= bits[w]
+            partners[w] |= bits[u]
+        else:
+            for v in verts:
+                counted[v].append(e)
+    near = [None] * nvert  # the vertices sharing an edge with v, built on v's first eviction
     empty_room = [s - 1 for s in edge_size.tolist()]
+    ranks = np.empty_like(perms)  # ranks[i][v]: position of vertex v in restart i's order
+    ranks[np.arange(len(perms))[:, None], perms] = np.arange(nvert)
     best_size = 0
-    best_mask = np.zeros(nvert, dtype=np.uint8)
-    for order, probes in zip(perms.tolist(), removals.tolist()):
-        in_set = [0] * nvert
+    best = 0
+    for order, rank, probes in zip(perms.tolist(), ranks.tolist(), removals.tolist()):
+        members = 0
         room = empty_room[:]
-        size = 0
+        has_room = room.__getitem__
         for v in order:
-            edges = vert_edges[v]
-            if all(map(room.__getitem__, edges)):
-                in_set[v] = 1
-                size += 1
+            edges = counted[v]
+            if not members & partners[v] and (not edges or all(map(has_room, edges))):
+                members |= bits[v]
                 for e in edges:
                     room[e] -= 1
+        size = members.bit_count()
         if size > best_size:
-            best_size = size
-            best_mask = np.array(in_set, dtype=np.uint8)
+            best_size, best = size, members
         if best_size >= target:
-            return best_size, best_mask
-        rank = [0] * nvert
-        for pos, v in enumerate(order):
-            rank[v] = pos
+            return best_size, _bit_vector(best, nvert)
         victim = -1
         for probe in probes:
-            if size == 0:
+            if not members:
                 break
             previous = victim
-            victim = probe % nvert
-            while not in_set[victim]:
-                victim = (victim + 1) % nvert
-            in_set[victim] = 0
-            size -= 1
-            candidates = set()
-            for e in vert_edges[victim]:
+            p = probe % nvert
+            pick = members >> p << p or members
+            low = pick & -pick
+            victim = low.bit_length() - 1
+            members ^= low
+            for e in counted[victim]:
                 room[e] += 1
-                candidates.update(edge_verts[e])
-            candidates.discard(victim)
-            if previous >= 0:
-                candidates.add(previous)
-            for v in sorted(candidates, key=rank.__getitem__):
-                if in_set[v]:
+            reach = near[victim]
+            if reach is None:
+                reach = set().union(*map(edge_verts.__getitem__,
+                                         incident[bounds[victim]:bounds[victim + 1]]))
+                reach.discard(victim)
+                reach = near[victim] = list(reach)
+            for v in sorted(reach if previous < 0 else reach + [previous], key=rank.__getitem__):
+                if members & bits[v]:
                     continue
-                edges = vert_edges[v]
-                if all(map(room.__getitem__, edges)):
-                    in_set[v] = 1
-                    size += 1
+                edges = counted[v]
+                if not members & partners[v] and (not edges or all(map(has_room, edges))):
+                    members |= bits[v]
                     for e in edges:
                         room[e] -= 1
+            size = members.bit_count()
             if size > best_size:
-                best_size = size
-                best_mask = np.array(in_set, dtype=np.uint8)
+                best_size, best = size, members
             if best_size >= target:
-                return best_size, best_mask
-    return best_size, best_mask
-
-
-apfree_search_kernel = _apfree_search_body
+                return best_size, _bit_vector(best, nvert)
+    return best_size, _bit_vector(best, nvert)

@@ -458,6 +458,12 @@ def _validate(args) -> str | None:
         return "count must be positive"
     if getattr(args, "m", 1) < 1:
         return "m must be positive"
+    if getattr(args, "exact_limit", 0) < 0:
+        return "exact-limit must be non-negative"
+    if getattr(args, "collision_slack", 0) < 0:
+        return "collision-slack must be non-negative"
+    if getattr(args, "dimension_cap", 1) < 1:
+        return "dimension-cap must be positive"
     text = getattr(args, "differences", None)
     if text is not None:
         try:

@@ -55,15 +55,26 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
     does, and each base is kept or dropped for all x together.  A
     translate y + B_c inside B_d must carry 0 of B_c onto a point y of
     B_d, so testing the shifts y in B_d of each smaller base decides it.
-    The kept bases' translates are then the minimal supports.
+    The kept bases' translates are then the minimal supports.  Per size,
+    all n translates of every kept base form one integer array with each
+    row sorted; the rows are sorted lexicographically and adjacent equal
+    rows dropped, since translates coincide when D holds N/2 or N/3.
     """
     n = seq.group.modulus
     bases = {frozenset(step * d % n for step in range(k)) for d in seq.distinct()}
     kept = [b for b in bases
             if not any(len(c) < len(b) and all((y + z) % n in b for z in c)
                        for c in bases for y in b)]
-    supports = {tuple(sorted((x + z) % n for z in b)) for b in kept for x in range(n)}
-    return sorted(supports, key=lambda s: (len(s), s))
+    supports = []
+    for size in sorted({len(b) for b in kept}):
+        same = np.array([list(b) for b in kept if len(b) == size], dtype=np.int64)
+        rows = np.sort((np.arange(n)[:, None, None] + same) % n, axis=2, kind="stable")
+        rows = rows.reshape(-1, size)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        supports += map(tuple, rows[fresh].tolist())
+    return supports
 
 
 def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tuple[int, ...]]:

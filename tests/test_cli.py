@@ -156,7 +156,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["kimvu", "--single-edge", "--prob", "2"],
                  ["kimvu", "--k", "4"],
                  ["critical-size", "--modulus", "5", "--k", "21"],
-                 ["kimvu", "--s", "1"]):
+                 ["kimvu", "--s", "1"],
+                 ["critical-size", "--modulus", "5", "--exact-limit", "-5"],
+                 ["check", "--modulus", "7", "--differences", "1", "--exact-limit", "-1"],
+                 ["verify", "--collision-slack", "-2"],
+                 ["verify", "--dimension-cap", "-3"],
+                 ["verify", "--dimension-cap", "0"],
+                 ["norms", "--dimension-cap", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv

@@ -161,6 +161,33 @@ def test_apfree_search_matches_full_scan():
     assert swap_only > 0
 
 
+def test_apfree_search_ignores_edge_order_and_repeats():
+    """Shuffled edges, reordered edge vertices and repeated edges give the same result.
+
+    The instances are the grid's with swap passes and N > 20, N up to 140,
+    where a member bitmask spans more than one machine word.
+    """
+    rng = stream(61, 1)
+    moduli = set()
+    for n, arrays, perms, removals in search_grid(61):
+        if removals.shape[1] == 0 or n <= 20:
+            continue
+        moduli.add(n)
+        ptr, vtx, sizes = arrays[:3]
+        edges = [vtx[ptr[e]:ptr[e + 1]].tolist() for e in range(len(sizes))]
+        mixed = [edges[e] for e in rng.permutation(len(edges))]
+        mixed += [edges[e] for e in rng.choice(len(edges), size=len(edges) // 3)]
+        mixed = [rng.permutation(e).tolist() for e in mixed]
+        m_ptr, m_vtx, m_vptr, m_vedges = K.csr_incidence(mixed, n)
+        for target in (n // 3, n + 1):
+            want = K.apfree_search_kernel(n, target, *arrays, perms, removals)
+            got = K.apfree_search_kernel(n, target, m_ptr, m_vtx, np.diff(m_ptr),
+                                         m_vptr, m_vedges, perms, removals)
+            assert got[0] == want[0], (n, target)
+            assert np.array_equal(got[1], want[1]), (n, target)
+    assert max(moduli) > 128
+
+
 def test_pm_enumeration_matches_brute_force():
     rng = stream(31, 0)
     for _ in range(25):
