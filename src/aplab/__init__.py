@@ -14,8 +14,7 @@ from .discrepancy import (IndexPartition, good_set_search, max_over_01,
 from .embedding import EmbeddingMatrix, SubsetIndexer, pair_embedding
 from .groups import ApParams, Group, as_density, density_target
 from .hyperpoly import HypergraphPoly, mu_profile, poly_value
-from .intersectivity import (CriticalSizeEstimate, estimate_critical_size,
-                             is_intersective_exact)
+from .intersectivity import CriticalSizeEstimate, decide, estimate_critical_size
 from .norms import khintchine_bench, norm_report, spectral_norm
 from .records import VERSION
 
@@ -27,6 +26,6 @@ __all__ = [
     "ap_count", "IndexPartition", "good_set_search", "max_over_01",
     "max_over_signs", "signed_objective", "EmbeddingMatrix", "SubsetIndexer",
     "pair_embedding", "HypergraphPoly", "mu_profile", "poly_value",
-    "CriticalSizeEstimate", "estimate_critical_size", "is_intersective_exact",
+    "CriticalSizeEstimate", "estimate_critical_size", "decide",
     "khintchine_bench", "norm_report", "spectral_norm", "VERSION",
 ]

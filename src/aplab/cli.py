@@ -15,12 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import discrepancy, embedding, hyperpoly, norms
+from . import discrepancy, embedding, hyperpoly, intersectivity, norms
 from .counting import DifferenceSequence
 from .groups import (MAX_PROGRESSION_LENGTH, ApParams, Group, as_density,
                      density_target)
-from .intersectivity import (EXACT_LIMIT_DEFAULT, estimate_critical_size,
-                             is_intersective_exact, max_free_heuristic)
 from .records import VERSION, append_ledger, dumps_record, record_to_csv
 from .rng import spawn_signs, stream
 
@@ -66,10 +64,10 @@ def cmd_critical_size(args) -> int:
     payload = _payload("critical-size", {
         "modulus": args.modulus, "k": args.k,
         "epsilon": _epsilon_str(params.epsilon), "trials": args.trials,
-        "exact_limit": args.exact_limit,
+        "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
-    est = estimate_critical_size(group, params, trials_per_m=args.trials,
-                                 seed=args.seed, exact_limit=args.exact_limit)
+    est = intersectivity.estimate_critical_size(
+        group, params, trials_per_m=args.trials, seed=args.seed)
     payload["results"] = {
         "m_star": est.m_star,
         "curve": [{"m": p.m, "trials": p.trials, "successes": p.successes,
@@ -88,29 +86,20 @@ def cmd_check(args) -> int:
     payload = _payload("check", {
         "modulus": args.modulus, "k": args.k,
         "epsilon": _epsilon_str(params.epsilon),
-        "differences": list(diffs), "exact_limit": args.exact_limit,
+        "differences": list(diffs), "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
-    target = density_target(group, params)
-    if group.modulus <= args.exact_limit:
-        verdict = is_intersective_exact(seq, params, args.exact_limit)
-        intersective = verdict.intersective
-        witness = verdict.witness
-        method = verdict.method
-    else:
-        found = max_free_heuristic(seq, params, stream(args.seed, 1))
-        intersective = found.cardinality < target
-        witness = None if intersective else found
-        method = "heuristic"
+    verdict = intersectivity.decide(seq, params, stream(args.seed, 1))
     payload["results"] = {
-        "intersective": intersective,
-        "method": method,
-        "target_size": target,
-        "witness": list(witness.indices()) if witness is not None else None,
+        "intersective": verdict.intersective,
+        "method": verdict.method,
+        "target_size": density_target(group, params),
+        "witness": (list(verdict.witness.indices())
+                    if verdict.witness is not None else None),
     }
     return _finish(payload, args, started)
 
 
-def _verify_embedding_identity(payload, seed, inject_fault: bool, dimension_cap: int):
+def _verify_embedding_identity(payload, seed, inject_fault: bool):
     group = Group(11)
     s, r = 2, 1
     rng = stream(seed, 10)
@@ -121,7 +110,7 @@ def _verify_embedding_identity(payload, seed, inject_fault: bool, dimension_cap:
             for j in range(4):
                 if i == j or not discrepancy.is_good_pair(seq, i, j, r):
                     continue
-                mat = embedding.pair_embedding(seq, i, j, s, r, dimension_cap)
+                mat = embedding.pair_embedding(seq, i, j, s, r)
                 if inject_fault and checked == 0:
                     key = min(mat.entries)
                     mat.entries[key] += 1
@@ -190,14 +179,14 @@ def _verify_norm_chain(payload, seed):
     _assert_into(payload, "norm-inequalities", True, "20 instances")
 
 
-def _verify_chain(payload, seed, slack, dimension_cap):
+def _verify_chain(payload, seed):
     group = Group(7)
     params = ApParams(3)
     rng = stream(seed, 15)
     found = None
     for _ in range(50):
         try:
-            cand = discrepancy.good_set_search(group, params, 4, rng, slack=slack)
+            cand = discrepancy.good_set_search(group, params, 4, rng)
         except discrepancy.GoodSetSearchError as err:
             _assert_into(payload, "lower-bound-chain", False,
                          f"no well-spread sequence: best={err.best}")
@@ -212,8 +201,7 @@ def _verify_chain(payload, seed, slack, dimension_cap):
         sigma = spawn_signs(rng, len(part.left))
         tau = spawn_signs(rng, len(part.right))
         z = spawn_signs(rng, group.modulus)
-        report = embedding.verify_lower_bound_chain(
-            seq, part, sigma, tau, 2, 1, z, dimension_cap=dimension_cap)
+        report = embedding.verify_lower_bound_chain(seq, part, sigma, tau, 2, 1, z)
         if not report.ok or report.norm_lower > 0:
             break
     detail = (f"quadratic={report.quadratic} closed={report.closed_form} "
@@ -234,16 +222,15 @@ def _verify_symmetrization(payload):
 def cmd_verify(args) -> int:
     started = time.monotonic()
     payload = _payload("verify", {
-        "collision_slack": args.collision_slack,
-        "dimension_cap": args.dimension_cap,
+        "collision_slack": discrepancy.COLLISION_SLACK,
+        "dimension_cap": embedding.DIMENSION_CAP,
         "inject_fault": bool(args.inject_fault),
     }, args.seed)
-    _verify_embedding_identity(payload, args.seed, args.inject_fault,
-                               args.dimension_cap)
+    _verify_embedding_identity(payload, args.seed, args.inject_fault)
     _verify_cauchy_schwarz(payload, args.seed)
     _verify_dominance(payload, args.seed)
     _verify_norm_chain(payload, args.seed)
-    _verify_chain(payload, args.seed, args.collision_slack, args.dimension_cap)
+    _verify_chain(payload, args.seed)
     _verify_symmetrization(payload)
     payload["results"]["all_pass"] = all(a["pass"] for a in payload["assertions"])
     return _finish(payload, args, started)
@@ -348,8 +335,7 @@ def cmd_norms(args) -> int:
         rng = stream(args.seed, 24)
         seq = DifferenceSequence.sample(group, 4, rng)
         tau = spawn_signs(rng, 3)
-        mat = embedding.aggregate_pair_embeddings(
-            seq, 0, tau, (1, 2, 3), 2, 1, args.dimension_cap)
+        mat = embedding.aggregate_pair_embeddings(seq, 0, tau, (1, 2, 3), 2, 1)
     report = norms.norm_report(mat, rng=stream(args.seed, 25))
     payload["results"] = {
         "dim": report.dim, "spectral": report.spectral,
@@ -392,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--epsilon", default="0.5")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_critical_size)
 
@@ -402,15 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0.5")
     p.add_argument("--differences", required=True,
                    help="comma-separated difference list")
-    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run the identity and inequality suite")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one matrix entry to exercise failure reporting")
-    p.add_argument("--collision-slack", type=float, default=4.0)
-    p.add_argument("--dimension-cap", type=int, default=embedding.DIMENSION_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -437,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", choices=("identity", "random", "window"),
                    default="identity")
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--dimension-cap", type=int, default=embedding.DIMENSION_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_norms)
     return parser
@@ -458,12 +439,6 @@ def _validate(args) -> str | None:
         return "count must be positive"
     if getattr(args, "m", 1) < 1:
         return "m must be positive"
-    if getattr(args, "exact_limit", 0) < 0:
-        return "exact-limit must be non-negative"
-    if getattr(args, "collision_slack", 0) < 0:
-        return "collision-slack must be non-negative"
-    if getattr(args, "dimension_cap", 1) < 1:
-        return "dimension-cap must be positive"
     text = getattr(args, "differences", None)
     if text is not None:
         try:
@@ -485,6 +460,8 @@ def _validate(args) -> str | None:
         if not 0 < val <= 1 or (val == 1 and not closed):
             return f"{name} must lie in (0, 1{']' if closed else ')'}"
     if args.command == "kimvu" and not args.single_edge:
+        if args.prob is not None:
+            return "prob applies only with --single-edge (otherwise p = s/N)"
         # the preconditions of ApParams.r and verify_set_vs_bernoulli at p = s/N
         if args.k % 2 == 0:
             return "half-length r requires odd k"

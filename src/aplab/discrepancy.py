@@ -23,6 +23,7 @@ from .counting import DifferenceSequence, RationalCount
 from .groups import ApParams, Group, as_density, pair_support
 
 GOOD_SET_ATTEMPTS = 200
+COLLISION_SLACK = 4.0  # of every collision threshold; read at call time
 
 
 @dataclass(frozen=True)
@@ -320,9 +321,9 @@ def max_multiplicity(seq: DifferenceSequence, r: int) -> int:
     return int(counts[1:].max())
 
 
-def collision_threshold(n: int, m: int, r: int, slack=4.0) -> int:
-    """Acceptance bound ceil(slack * r^2 m^2 / N) + 1 for collision counts."""
-    frac = as_density(slack) * r * r * m * m
+def collision_threshold(n: int, m: int, r: int) -> int:
+    """Acceptance bound ceil(COLLISION_SLACK * r^2 m^2 / N) + 1 for collision counts."""
+    frac = as_density(COLLISION_SLACK) * r * r * m * m
     return ceil(Fraction(frac, n)) + 1
 
 
@@ -352,8 +353,7 @@ class GoodSetSearchError(RuntimeError):
         self.best = best
 
 
-def good_set_search(group: Group, params: ApParams, m: int, rng,
-                    slack=4.0) -> GoodSetResult:
+def good_set_search(group: Group, params: ApParams, m: int, rng) -> GoodSetResult:
     """Sample sequences until one has few collisions and low multiplicity.
 
     Each of up to ``GOOD_SET_ATTEMPTS`` attempts draws a fresh sequence
@@ -362,7 +362,7 @@ def good_set_search(group: Group, params: ApParams, m: int, rng,
     """
     r = params.r
     n = group.modulus
-    c_bound = collision_threshold(n, m, r, slack)
+    c_bound = collision_threshold(n, m, r)
     m_bound = multiplicity_threshold(n)
     best: Optional[GoodSetResult] = None
     for made in range(1, GOOD_SET_ATTEMPTS + 1):

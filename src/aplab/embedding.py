@@ -20,15 +20,15 @@ import numpy as np
 
 from . import _kernels, norms
 from .counting import DifferenceSequence
-from .discrepancy import IndexPartition, is_good_pair
+from .discrepancy import IndexPartition, _as_signs, is_good_pair
 from .groups import pair_support, single_support
 
-DIMENSION_CAP_DEFAULT = 20000
+DIMENSION_CAP = 20000  # largest comb(N, s) a pair matrix may index; read at call time
 DENSE_DIM_CAP = 4096
 
 
 class DimensionCapError(ValueError):
-    """Raised when comb(N, s) exceeds the configured dimension cap."""
+    """Raised when comb(N, s) exceeds ``DIMENSION_CAP``."""
 
 
 class SubsetIndexer:
@@ -79,9 +79,7 @@ def _colex(n: int, s: int) -> Iterator[tuple[int, ...]]:
 
 def lift_signs(Z, s: int) -> np.ndarray:
     """Subset products prod_{y in S} Z(y) in colex rank order, as int8."""
-    zz = np.ascontiguousarray(Z, dtype=np.int64)
-    if zz.ndim != 1 or not np.all(np.abs(zz) == 1):
-        raise ValueError("Z must be a vector of -1/+1 entries")
+    zz = _as_signs(Z, np.size(Z))
     indexer = SubsetIndexer(zz.shape[0], s)
     out = np.empty(indexer.count, dtype=np.int8)
     for pos, sub in enumerate(indexer.iter_subsets()):
@@ -185,8 +183,8 @@ class EmbeddingMatrix:
                 f"dim={self.dim}, nnz={self.nnz()})")
 
 
-def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int, r: int,
-                   dimension_cap: int = DIMENSION_CAP_DEFAULT) -> EmbeddingMatrix:
+def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int,
+                   r: int) -> EmbeddingMatrix:
     """The subset-pair matrix for entries i and j of the sequence.
 
     Built start by start: choose r points in each window and s-2r points
@@ -198,9 +196,9 @@ def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int, r: int,
     n = group.modulus
     if s < 2 * r:
         raise ValueError("block size s must be at least 2r")
-    if comb(n, s) > dimension_cap:
+    if comb(n, s) > DIMENSION_CAP:
         raise DimensionCapError(
-            f"comb({n}, {s}) = {comb(n, s)} exceeds the dimension cap {dimension_cap}")
+            f"comb({n}, {s}) = {comb(n, s)} exceeds the dimension cap {DIMENSION_CAP}")
     if not is_good_pair(seq, i, j, r):
         return EmbeddingMatrix(n, s, r, {})
     d_i, d_j = seq.entries[i], seq.entries[j]
@@ -237,9 +235,7 @@ def pair_window_sum(seq: DifferenceSequence, i: int, j: int, r: int, Z) -> int:
     """sum_x prod over the union window at x of Z, an exact integer."""
     group = seq.group
     n = group.modulus
-    zz = np.ascontiguousarray(Z, dtype=np.int64)
-    if zz.shape != (n,) or not np.all(np.abs(zz) == 1):
-        raise ValueError("Z must be a -1/+1 vector over the group")
+    zz = _as_signs(Z, n)
     total = 0
     for x in range(n):
         val = 1
@@ -250,14 +246,13 @@ def pair_window_sum(seq: DifferenceSequence, i: int, j: int, r: int, Z) -> int:
 
 
 def verify_embedding_identity(seq: DifferenceSequence, i: int, j: int, s: int,
-                              r: int, Z,
-                              dimension_cap: int = DIMENSION_CAP_DEFAULT) -> bool:
+                              r: int, Z) -> bool:
     """Exact check of (lift Z)^T M (lift Z) == scale * window sum.
 
     For colliding pairs the matrix is zero and the check degenerates to
     the quadratic form vanishing.
     """
-    mat = pair_embedding(seq, i, j, s, r, dimension_cap)
+    mat = pair_embedding(seq, i, j, s, r)
     lifted = lift_signs(Z, s)
     quad = mat.quadratic_form(lifted)
     if not is_good_pair(seq, i, j, r):
@@ -267,20 +262,17 @@ def verify_embedding_identity(seq: DifferenceSequence, i: int, j: int, s: int,
 
 
 def aggregate_pair_embeddings(seq: DifferenceSequence, i: int, tau, right, s: int,
-                              r: int,
-                              dimension_cap: int = DIMENSION_CAP_DEFAULT) -> EmbeddingMatrix:
+                              r: int) -> EmbeddingMatrix:
     """Signed sum over the right part: sum_j tau_j * M(i, j).
 
     ``tau`` is indexed by position in ``right``.  Colliding pairs
     contribute nothing, matching their zero matrices.
     """
     right = tuple(right)
-    ta = np.ascontiguousarray(tau, dtype=np.int64)
-    if ta.shape != (len(right),) or not np.all(np.abs(ta) == 1):
-        raise ValueError("tau must be a -1/+1 vector matching the right part")
+    ta = _as_signs(tau, len(right))
     n = seq.group.modulus
     acc = EmbeddingMatrix(n, s, r, {})
-    pieces = [(int(ta[pos]), pair_embedding(seq, i, j, s, r, dimension_cap))
+    pieces = [(int(ta[pos]), pair_embedding(seq, i, j, s, r))
               for pos, j in enumerate(right)]
     return acc.scale_add(pieces)
 
@@ -334,8 +326,7 @@ class ChainReport:
 
 
 def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
-                             sigma, tau, s: int, r: int, Z, *,
-                             dimension_cap: int = DIMENSION_CAP_DEFAULT) -> ChainReport:
+                             sigma, tau, s: int, r: int, Z) -> ChainReport:
     """Check the chain: window sums equal the quadratic form, which the
     inf->1 norm of the aggregated matrix dominates.
 
@@ -349,16 +340,11 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     a sign vector) that cannot fail the comparison, so ``ok`` leaves it
     out.
     """
-    sig = np.ascontiguousarray(sigma, dtype=np.int64)
-    ta = np.ascontiguousarray(tau, dtype=np.int64)
-    if sig.shape != (len(part.left),) or not np.all(np.abs(sig) == 1):
-        raise ValueError("sigma must be a -1/+1 vector matching the left part")
-    if ta.shape != (len(part.right),) or not np.all(np.abs(ta) == 1):
-        raise ValueError("tau must be a -1/+1 vector matching the right part")
+    sig = _as_signs(sigma, len(part.left))
+    ta = _as_signs(tau, len(part.right))
     n = seq.group.modulus
     mat = EmbeddingMatrix(n, s, r, {}).scale_add(
-        [(int(sig[pos]), aggregate_pair_embeddings(seq, i, ta, part.right, s, r,
-                                                   dimension_cap))
+        [(int(sig[pos]), aggregate_pair_embeddings(seq, i, ta, part.right, s, r))
          for pos, i in enumerate(part.left)])
     lifted = lift_signs(Z, s)
     quad = mat.quadratic_form(lifted)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
 from typing import NamedTuple, Optional
@@ -24,21 +23,17 @@ from .counting import DifferenceSequence, SubsetMask, ap_average
 from .groups import ApParams, Group, density_target
 from .rng import stream
 
-EXACT_LIMIT_DEFAULT = 40
+EXACT_LIMIT = 40  # largest N decided exactly; read at call time
 HEURISTIC_RESTARTS_DEFAULT = 32
 HEURISTIC_PASSES_DEFAULT = 8
 _STABILIZE_ROUNDS = 12
 CONFIDENCE = 0.95  # of every Wilson interval
 
 
-class ExactLimitError(ValueError):
-    """Raised when an exact decision is requested beyond the configured size."""
-
-
 @dataclass(frozen=True)
 class IntersectivityVerdict:
     intersective: bool
-    witness: Optional[SubsetMask]  # progression-free set of target size, when one exists
+    witness: Optional[SubsetMask]  # free set of at least the target size, when one is found
     method: str  # "exact" or "heuristic"
 
 
@@ -155,24 +150,6 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
     return tuple(v for v in range(n) if found >> v & 1)
 
 
-def is_intersective_exact(seq: DifferenceSequence, params: ApParams,
-                          exact_limit: int = EXACT_LIMIT_DEFAULT) -> IntersectivityVerdict:
-    """Complete decision by branch and bound; feasible for small N only."""
-    group = seq.group
-    if group.modulus > exact_limit:
-        raise ExactLimitError(
-            f"N={group.modulus} exceeds the exact decision limit {exact_limit}; "
-            "use the heuristic searcher")
-    target = density_target(group, params)
-    found = exact_free_set(seq, params.k, target)
-    if found is None:
-        return IntersectivityVerdict(True, None, "exact")
-    witness = SubsetMask.from_indices(group, found)
-    if witness.cardinality > 0 and ap_average(witness, seq, params.k).numerator != 0:
-        raise AssertionError("internal error: claimed witness contains a progression")
-    return IntersectivityVerdict(False, witness, "exact")
-
-
 def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
                         rng) -> tuple[int, np.ndarray]:
     """Greedy-plus-swaps search; returns (best size, membership vector)."""
@@ -188,42 +165,38 @@ def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
     return int(best_size), np.asarray(best_mask, dtype=np.uint8)
 
 
-def max_free_heuristic(seq: DifferenceSequence, params: ApParams, rng) -> SubsetMask:
-    """Best progression-free subset the randomized search can find.
+def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerdict:
+    """Decide whether seq is intersective at the density target.
 
-    The result is always genuinely progression-free (asserted on return);
-    only its maximality is heuristic.
+    Up to ``EXACT_LIMIT`` branch and bound settles the answer completely.
+    Beyond it the heuristic searcher runs with draws from ``rng``: a free
+    set it finds settles the answer (False) exactly, and when it finds
+    none the verdict is True on heuristic evidence alone, which can
+    overstate intersectivity but never understate it.  A witness is
+    checked progression-free before it is returned.
     """
-    size, mem = _heuristic_free_set(seq, params.k, seq.group.modulus + 1, rng)
-    mask = SubsetMask(seq.group, mem)
-    if mask.cardinality > 0 and ap_average(mask, seq, params.k).numerator != 0:
-        raise AssertionError("internal error: heuristic returned a non-free set")
-    return mask
+    group = seq.group
+    target = density_target(group, params)
+    if group.modulus <= EXACT_LIMIT:
+        method = "exact"
+        found = exact_free_set(seq, params.k, target)
+        witness = None if found is None else SubsetMask.from_indices(group, found)
+    else:
+        method = "heuristic"
+        size, mem = _heuristic_free_set(seq, params.k, target, rng)
+        witness = SubsetMask(group, mem) if size >= target else None
+    if witness is None:
+        return IntersectivityVerdict(True, None, method)
+    if ap_average(witness, seq, params.k).numerator != 0:
+        raise AssertionError("internal error: claimed witness contains a progression")
+    return IntersectivityVerdict(False, witness, method)
 
 
-def trial(group: Group, params: ApParams, m: int, rng,
-          exact_limit: int = EXACT_LIMIT_DEFAULT) -> bool:
-    """Sample D of length m from the given generator and decide intersectivity.
-
-    Within the exact limit, branch and bound settles the answer
-    completely.  Beyond it the heuristic searcher runs: any free set it
-    finds settles the answer (False) exactly, and when it finds none the
-    trial reports True on heuristic evidence alone, which can overstate
-    intersectivity but never understate it.
-    """
+def trial(group: Group, params: ApParams, m: int, rng) -> bool:
+    """Sample D of length m from the given generator and decide intersectivity."""
     if m < 1:
         raise ValueError("sequence length m must be at least 1")
-    seq = DifferenceSequence.sample(group, m, rng)
-    if group.modulus <= exact_limit:
-        return is_intersective_exact(seq, params, exact_limit).intersective
-    target = density_target(group, params)
-    size, mem = _heuristic_free_set(seq, params.k, target, rng)
-    if size >= target:
-        mask = SubsetMask(group, mem)
-        if ap_average(mask, seq, params.k).numerator != 0:
-            raise AssertionError("internal error: heuristic returned a non-free set")
-        return False
-    return True
+    return decide(DifferenceSequence.sample(group, m, rng), params, rng).intersective
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -268,15 +241,10 @@ class ProbePoint(NamedTuple):
 class CriticalSizeEstimate:
     m_star: int
     curve: tuple[ProbePoint, ...]  # aggregated per probed m, ascending
-    modulus: int
-    k: int
-    epsilon: Fraction
-    trials_per_m: int
-    seed: int
 
 
 def run_trials(group: Group, params: ApParams, m: int, count: int, seed: int, *,
-               offset: int = 0, exact_limit: int = EXACT_LIMIT_DEFAULT) -> int:
+               offset: int = 0) -> int:
     """Number of intersective samples among trials offset..offset+count-1.
 
     Trial index t always uses the generator keyed by (seed, m, t), so the
@@ -284,13 +252,12 @@ def run_trials(group: Group, params: ApParams, m: int, count: int, seed: int, *,
     """
     if count < 1:
         raise ValueError("trial count must be at least 1")
-    return sum(trial(group, params, m, stream(seed, m, t), exact_limit)
+    return sum(trial(group, params, m, stream(seed, m, t))
                for t in range(offset, offset + count))
 
 
 def estimate_critical_size(group: Group, params: ApParams, *,
-                           trials_per_m: int = 200, seed: int = 0,
-                           exact_limit: int = EXACT_LIMIT_DEFAULT) -> CriticalSizeEstimate:
+                           trials_per_m: int = 200, seed: int = 0) -> CriticalSizeEstimate:
     """Estimate the smallest m whose intersectivity probability reaches 1/2.
 
     Search policy: double m until the empirical rate crosses 1/2, binary
@@ -309,8 +276,7 @@ def estimate_critical_size(group: Group, params: ApParams, *,
 
     def probe(m: int, count: int):
         off = offsets.get(m, 0)
-        got = run_trials(group, params, m, count, seed, offset=off,
-                         exact_limit=exact_limit)
+        got = run_trials(group, params, m, count, seed, offset=off)
         offsets[m] = off + count
         entry = curve.setdefault(m, [0, 0])
         entry[0] += count
@@ -362,5 +328,4 @@ def estimate_critical_size(group: Group, params: ApParams, *,
     points = tuple(
         ProbePoint(m, t, s, s / t, *wilson_interval(s, t))
         for m, (t, s) in sorted(curve.items()))
-    return CriticalSizeEstimate(chosen, points, group.modulus, params.k,
-                                params.epsilon, trials_per_m, seed)
+    return CriticalSizeEstimate(chosen, points)

@@ -21,7 +21,7 @@ from aplab import norms as N
 from aplab.cli import main
 from aplab.counting import DifferenceSequence
 from aplab.groups import ApParams, Group, as_density, density_target
-from aplab.intersectivity import estimate_critical_size, is_intersective_exact
+from aplab.intersectivity import decide, estimate_critical_size
 from aplab.rng import spawn_signs, stream
 
 
@@ -79,7 +79,7 @@ def test_criterion_01_exact_decider_vs_naive_oracle(criterion):
             for i in range(200):
                 m = 1 + i % 6
                 seq = DifferenceSequence.sample(g, m, rng)
-                got = is_intersective_exact(seq, params).intersective
+                got = decide(seq, params, rng).intersective
                 assert got == naive_intersective(seq, params), (n, eps, seq.entries)
     assert time.monotonic() - start < deadline
     criterion["pass"] = True
@@ -99,7 +99,7 @@ def test_criterion_02_embedding_identity_exact(criterion):
             for j in range(4):
                 if i == j or not D.is_good_pair(seq, i, j, r):
                     continue
-                mat = E.pair_embedding(seq, i, j, s, r, 20000)
+                mat = E.pair_embedding(seq, i, j, s, r)
                 for _ in range(50):
                     z = spawn_signs(rng, 11).astype(np.int64)
                     quad = mat.quadratic_form(E.lift_signs(z, s))
@@ -115,7 +115,7 @@ def test_criterion_02_embedding_identity_exact(criterion):
 def test_criterion_03_embedding_total_closed_form(criterion):
     """Total entry mass at N=11, s=2, r=1 is exactly C(2,1)^2 C(7,0) 11 = 44."""
     seq = DifferenceSequence(Group(11), (1, 3))
-    mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
+    mat = E.pair_embedding(seq, 0, 1, 2, 1)
     want = comb(2, 1) ** 2 * comb(7, 0) * 11
     assert want == 44
     assert mat.total() == 44
@@ -126,7 +126,7 @@ def test_criterion_03_embedding_total_closed_form(criterion):
         sq = DifferenceSequence.sample(Group(11), 3, rng)
         for i, j in combinations(range(3), 2):
             if D.is_good_pair(sq, i, j, 1):
-                assert E.pair_embedding(sq, i, j, 2, 1, 20000).total() == 44
+                assert E.pair_embedding(sq, i, j, 2, 1).total() == 44
     criterion["pass"] = True
 
 
@@ -275,7 +275,7 @@ def test_criterion_11_pruning(criterion):
     g = Group(5)
     seq = DifferenceSequence(g, (1, 4))
     assert D.is_good_pair(seq, 0, 1, 1)
-    mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
+    mat = E.pair_embedding(seq, 0, 1, 2, 1)
     assert mat.dim == 10
     weights = mat.row_weights()
     threshold = float(weights.max())  # forces at least one removal

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from aplab import discrepancy, embedding, intersectivity
 from aplab.cli import _verify_dominance, main
 from aplab.records import iter_ledger
 
@@ -157,12 +158,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["kimvu", "--k", "4"],
                  ["critical-size", "--modulus", "5", "--k", "21"],
                  ["kimvu", "--s", "1"],
-                 ["critical-size", "--modulus", "5", "--exact-limit", "-5"],
-                 ["check", "--modulus", "7", "--differences", "1", "--exact-limit", "-1"],
-                 ["verify", "--collision-slack", "-2"],
-                 ["verify", "--dimension-cap", "-3"],
-                 ["verify", "--dimension-cap", "0"],
-                 ["norms", "--dimension-cap", "0"]):
+                 ["kimvu", "--prob", "0.3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
@@ -172,26 +168,41 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert not (tmp_path / "runs.ledger").exists()
 
 
-def test_flags_belong_to_their_subcommands(capsys, tmp_path):
-    for argv in (["khintchine", "--exact-limit", "5"],
-                 ["verify", "--exact-limit", "5"],
-                 ["critical-size", "--modulus", "5", "--collision-slack", "1"]):
+def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
+    """The exact limit, collision slack and dimension cap are constants, not flags."""
+    commands = (["critical-size", "--modulus", "5"],
+                ["check", "--modulus", "7", "--differences", "1"],
+                ["verify"], ["khintchine"], ["kimvu"], ["norms"])
+    gone = [cmd + [flag, "5"] for cmd in commands
+            for flag in ("--exact-limit", "--collision-slack", "--dimension-cap")]
+    for argv in gone + [["critical-size", "--modulus", "5", "--exact-limit", "-5"],
+                        ["check", "--modulus", "7", "--differences", "1",
+                         "--exact-limit", "-1"],
+                        ["verify", "--collision-slack", "-2"],
+                        ["verify", "--dimension-cap", "-3"],
+                        ["verify", "--dimension-cap", "0"],
+                        ["norms", "--dimension-cap", "0"]]:
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
-    capsys.readouterr()
-    # N=5 is within the default limit; --exact-limit 0 forces the heuristic
+        captured = capsys.readouterr()
+        assert captured.err.strip(), argv
+        assert captured.out == "", argv
+    assert not (tmp_path / "runs.ledger").exists()
+    # N=5 is within the default limit; a limit of 0 forces the heuristic
+    monkeypatch.setattr(intersectivity, "EXACT_LIMIT", 0)
     code, out = run_cli(capsys, tmp_path, "check", "--modulus", "5",
-                        "--epsilon", "0.6", "--differences", "1",
-                        "--exact-limit", "0")
+                        "--epsilon", "0.6", "--differences", "1")
     payload = json.loads(out)
     assert code == 0
     assert payload["params"]["exact_limit"] == 0
     assert payload["results"]["method"] == "heuristic"
-    code, out = run_cli(capsys, tmp_path, "verify", "--seed", "3",
-                        "--dimension-cap", "100")
+    monkeypatch.setattr(embedding, "DIMENSION_CAP", 100)
+    monkeypatch.setattr(discrepancy, "COLLISION_SLACK", 5.0)
+    code, out = run_cli(capsys, tmp_path, "verify", "--seed", "3")
     assert code == 0
-    assert json.loads(out)["params"]["dimension_cap"] == 100
+    params = json.loads(out)["params"]
+    assert (params["dimension_cap"], params["collision_slack"]) == (100, 5.0)
 
 
 def test_payload_determinism(capsys, tmp_path):

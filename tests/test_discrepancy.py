@@ -234,9 +234,10 @@ def test_collision_and_multiplicity():
     assert D.max_multiplicity(DifferenceSequence(Group(7), (1, 1, 1)), 1) == 3
 
 
-def test_thresholds():
+def test_thresholds(monkeypatch):
     assert D.collision_threshold(7, 4, 1) == 11  # ceil(4*16/7) + 1
-    assert D.collision_threshold(100, 2, 1, slack=1.0) == 2
+    monkeypatch.setattr(D, "COLLISION_SLACK", 1.0)
+    assert D.collision_threshold(100, 2, 1) == 2
     assert abs(D.multiplicity_threshold(7) - 4 * np.log(7)) < 1e-12
 
 

@@ -35,6 +35,8 @@ def test_lift_signs_products():
     assert lift[ix.rank((0, 1))] == -1
     for sub in ix.iter_subsets():
         assert lift[ix.rank(sub)] == z[list(sub)].prod()
+    with pytest.raises(ValueError):
+        E.lift_signs([1, 0, -1], 2)
 
 
 def test_good_pair():
@@ -46,14 +48,14 @@ def test_good_pair():
 
 def test_pair_embedding_totals():
     seq = DifferenceSequence(Group(11), (1, 3))
-    mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
+    mat = E.pair_embedding(seq, 0, 1, 2, 1)
     assert mat.dim == comb(11, 2) == 55
     assert mat.total() == 44
     assert E.embedding_total_closed_form(11, 2, 1) == 44
     assert E.embedding_scale(11, 2, 1) == comb(2, 1) ** 2 * comb(7, 0)
     assert mat.is_symmetric()
     # non-good pair gives the zero matrix
-    bad = E.pair_embedding(DifferenceSequence(Group(7), (1, 2)), 0, 1, 2, 1, 20000)
+    bad = E.pair_embedding(DifferenceSequence(Group(7), (1, 2)), 0, 1, 2, 1)
     assert bad.nnz() == 0
 
 
@@ -63,7 +65,7 @@ def test_pair_embedding_entries_brute_force():
     g = Group(n)
     seq = DifferenceSequence(g, (1, 4))
     assert is_good_pair(seq, 0, 1, r)
-    mat = E.pair_embedding(seq, 0, 1, s, r, 20000)
+    mat = E.pair_embedding(seq, 0, 1, s, r)
     ix = E.SubsetIndexer(n, s)
     d_i, d_j = seq.entries
     direct = {}
@@ -90,12 +92,12 @@ def test_embedding_identity_random_z():
     rng = stream(61, 0)
     for _ in range(25):
         z = spawn_signs(rng, 11).astype(np.int64)
-        assert E.verify_embedding_identity(seq, 0, 1, 2, 1, z, 20000)
+        assert E.verify_embedding_identity(seq, 0, 1, 2, 1, z)
 
 
 def test_quadratic_and_bilinear_forms():
     seq = DifferenceSequence(Group(11), (1, 3))
-    mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
+    mat = E.pair_embedding(seq, 0, 1, 2, 1)
     ones = np.ones(mat.dim, dtype=np.int64)
     assert mat.quadratic_form(ones) == mat.total()
     dense = mat.to_dense()
@@ -106,20 +108,20 @@ def test_quadratic_and_bilinear_forms():
 def test_scale_add_and_aggregate():
     g = Group(11)
     seq = DifferenceSequence(g, (1, 3, 5))
-    m01 = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
-    m02 = E.pair_embedding(seq, 0, 2, 2, 1, 20000)
+    m01 = E.pair_embedding(seq, 0, 1, 2, 1)
+    m02 = E.pair_embedding(seq, 0, 2, 2, 1)
     agg = m01.scale_add([(-2, m02)])
     dense = m01.to_dense() - 2 * m02.to_dense()
     assert np.array_equal(agg.to_dense(), dense)
     tau = np.array([1, -1], dtype=np.int64)
-    agg2 = E.aggregate_pair_embeddings(seq, 0, tau, (1, 2), 2, 1, 20000)
+    agg2 = E.aggregate_pair_embeddings(seq, 0, tau, (1, 2), 2, 1)
     assert agg2 == m01.scale_add([(-1, m02)])
 
 
 def test_prune_semantics():
     g = Group(5)
     seq = DifferenceSequence(g, (1, 4))
-    mat = E.pair_embedding(seq, 0, 1, 2, 1, 20000)
+    mat = E.pair_embedding(seq, 0, 1, 2, 1)
     weights = mat.row_weights()
     thr = float(weights.max())  # prune the heaviest rows
     pruned, zeroed = mat.prune(thr)
@@ -135,8 +137,9 @@ def test_prune_semantics():
 
 def test_dimension_cap():
     seq = DifferenceSequence(Group(30), (1, 7))
+    assert comb(30, 5) > E.DIMENSION_CAP
     with pytest.raises(E.DimensionCapError):
-        E.pair_embedding(seq, 0, 1, 5, 1, 1000)  # C(30,5) is way past 1000
+        E.pair_embedding(seq, 0, 1, 5, 1)
 
 
 def test_default_thresholds():
@@ -153,8 +156,7 @@ def test_lower_bound_chain_exact_instance():
     sigma = spawn_signs(rng, 2)
     tau = spawn_signs(rng, 2)
     z = spawn_signs(rng, 7)
-    report = E.verify_lower_bound_chain(seq, part, sigma, tau, 2, 1, z,
-                                        dimension_cap=20000)
+    report = E.verify_lower_bound_chain(seq, part, sigma, tau, 2, 1, z)
     assert report.identity_ok
     assert report.quadratic == report.closed_form
     assert report.norm_is_exact  # dim 21 is inside the enumeration budget

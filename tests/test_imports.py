@@ -1,9 +1,11 @@
-"""Every module-level import in the package and the tests is used."""
+"""Every module-level import in the package and the tests is used, and
+every name the package defines is referenced somewhere."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "aplab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "aplab").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +44,60 @@ def test_no_unused_module_level_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert not found, found
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """Module-level defs, classes and assigned constants, dunders aside."""
+    names = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[stmt.name] = stmt.lineno
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = stmt.lineno
+    return {n: line for n, line in names.items() if not n.startswith("__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes touched and names imported, also inside strings.
+
+    A string that parses as Python is read the same way: that covers
+    ``__all__`` entries, the attribute names given to ``setattr`` and
+    ``monkeypatch.setattr``, and scripts run in a child interpreter.
+    Prose does not parse, and a definition site is none of these.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                found |= referenced_names(node.value)
+            except (SyntaxError, ValueError):
+                pass
+    return found
+
+
+def test_every_package_name_is_referenced():
+    sample = ("X = 1\n_y: int = 2\n__all__ = ['C']\ndef f():\n    '''Doc.'''\n"
+              "class C:\n    Z = 3\nf('print(m.W)')\n")
+    assert defined_names(sample) == {"X": 1, "_y": 2, "f": 4, "C": 6}
+    assert referenced_names(sample) == {"int", "C", "f", "print", "m", "W"}
+    readers = [path for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    used = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
+                         for path in readers))
+    dead = {}
+    for path in PACKAGE:
+        names = defined_names(path.read_text(encoding="utf-8"))
+        unused = [f"line {line}: {name}" for name, line in names.items()
+                  if name not in used]
+        if unused:
+            dead[path.name] = unused
+    assert not dead, dead

@@ -6,9 +6,8 @@ import pytest
 from aplab import _kernels, intersectivity
 from aplab.counting import DifferenceSequence, SubsetMask, ap_average
 from aplab.groups import ApParams, Group, as_density, density_target
-from aplab.intersectivity import (ExactLimitError, estimate_critical_size,
-                                  exact_free_set, is_intersective_exact,
-                                  max_free_heuristic, minimal_forbidden_sets,
+from aplab.intersectivity import (_heuristic_free_set, decide, estimate_critical_size,
+                                  exact_free_set, minimal_forbidden_sets,
                                   run_trials, trial, wilson_interval)
 from aplab.rng import stream
 
@@ -107,7 +106,7 @@ def decider_grid(seed, moduli, per_modulus):
             if n % 2 == 0:
                 seqs.append(DifferenceSequence(g, (n // 2, int(rng.integers(1, n)))))
             for seq in seqs:
-                best = max_free_heuristic(seq, ApParams(k), rng).cardinality
+                best, _ = _heuristic_free_set(seq, k, n + 1, rng)
                 yield seq, k, best + int(rng.integers(0, 2))
             yield DifferenceSequence(g, (1, 0)), k, 2
 
@@ -115,13 +114,14 @@ def decider_grid(seed, moduli, per_modulus):
 def test_known_verdicts():
     g = Group(5)
     p = ApParams(3, as_density(0.6))
-    v = is_intersective_exact(DifferenceSequence(g, (1,)), p)
+    rng = stream(41, 5)
+    v = decide(DifferenceSequence(g, (1,)), p, rng)
     assert not v.intersective
     assert sorted(v.witness.indices()) == [0, 1, 3]
     assert v.method == "exact"
     # zero difference repeats a point, so every nonempty set is covered
-    assert is_intersective_exact(DifferenceSequence(g, (0,)), p).intersective
-    assert is_intersective_exact(DifferenceSequence(g, (1, 2, 3, 4)), p).intersective
+    assert decide(DifferenceSequence(g, (0,)), p, rng).intersective
+    assert decide(DifferenceSequence(g, (1, 2, 3, 4)), p, rng).intersective
 
 
 def test_exact_matches_oracle_small():
@@ -133,7 +133,7 @@ def test_exact_matches_oracle_small():
         g = Group(n)
         params = ApParams(3, as_density(eps))
         seq = DifferenceSequence.sample(g, m, rng)
-        got = is_intersective_exact(seq, params)
+        got = decide(seq, params, rng)
         assert got.intersective == oracle_decide(seq, params)
         if got.witness is not None:
             assert ap_average(got.witness, seq, 3).numerator == 0
@@ -157,10 +157,16 @@ def test_exact_free_set_matches_plain_branch_and_bound():
 
 
 def test_exact_limit_enforced():
-    g = Group(50)
-    seq = DifferenceSequence(g, (1,))
-    with pytest.raises(ExactLimitError):
-        is_intersective_exact(seq, ApParams(3), exact_limit=40)
+    """Branch and bound up to EXACT_LIMIT, the heuristic one step above it."""
+    params = ApParams(3)
+    for n, method in ((intersectivity.EXACT_LIMIT, "exact"),
+                      (intersectivity.EXACT_LIMIT + 1, "heuristic")):
+        seq = DifferenceSequence(Group(n), (1,))
+        v = decide(seq, params, stream(41, 6))
+        assert v.method == method
+        assert not v.intersective
+        assert v.witness.cardinality >= density_target(seq.group, params)
+        assert ap_average(v.witness, seq, 3).numerator == 0
 
 
 def test_minimal_forbidden_sets():
@@ -203,8 +209,10 @@ def test_heuristic_returns_free_set():
         m = int(rng.integers(1, 5))
         g = Group(n)
         seq = DifferenceSequence.sample(g, m, rng)
-        free = max_free_heuristic(seq, ApParams(3), rng)
-        if free.cardinality:
+        size, mem = _heuristic_free_set(seq, 3, n + 1, rng)
+        free = SubsetMask(g, mem)
+        assert free.cardinality == size
+        if size:
             assert ap_average(free, seq, 3).numerator == 0
 
 
@@ -212,11 +220,11 @@ def test_heuristic_finds_known_maximum():
     # N=7, D=(1): the largest progression-free set has 4 points
     g = Group(7)
     seq = DifferenceSequence(g, (1,))
-    free = max_free_heuristic(seq, ApParams(3), stream(41, 2))
-    assert free.cardinality == 4
+    size, mem = _heuristic_free_set(seq, 3, 8, stream(41, 2))
+    assert size == SubsetMask(g, mem).cardinality == 4
 
 
-def test_trial_agreement_with_exact():
+def test_trial_agreement_with_exact(monkeypatch):
     """Within the exact limit trial is exact; the heuristic branch is one-sided."""
     g = Group(9)
     params = ApParams(3, as_density(0.5))
@@ -224,10 +232,12 @@ def test_trial_agreement_with_exact():
     for t in range(40):
         rng = stream(43, 3, t)
         seq = DifferenceSequence.sample(g, 2, rng)
-        want = is_intersective_exact(seq, params).intersective
+        want = decide(seq, params, rng).intersective
         got = trial(g, params, 2, stream(43, 3, t))
         assert got == want
-        heuristic = trial(g, params, 2, stream(43, 3, t), exact_limit=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(intersectivity, "EXACT_LIMIT", 0)
+            heuristic = trial(g, params, 2, stream(43, 3, t))
         assert heuristic or not want
         heuristic_free += not heuristic
     assert heuristic_free > 0

@@ -81,7 +81,7 @@ def test_spectral_norm_sparse_path_matches_dense(monkeypatch):
 
 def test_spectral_norm_on_embedding_matrix(monkeypatch):
     seq = DifferenceSequence(Group(11), (1, 3))
-    mat = pair_embedding(seq, 0, 1, 2, 1, 20000)
+    mat = pair_embedding(seq, 0, 1, 2, 1)
     want = np.linalg.norm(mat.to_dense().astype(np.float64), 2)
     got_dense, _ = N.spectral_norm(mat)  # dense route for small dims
     assert got_dense == pytest.approx(want, rel=1e-12)
@@ -97,7 +97,7 @@ def test_one_to_one_norm_is_max_column_mass():
     want = np.abs(mat).sum(axis=0).max()
     assert N.one_to_one_norm(mat) == want
     seq = DifferenceSequence(Group(11), (1, 3))
-    emb = pair_embedding(seq, 0, 1, 2, 1, 20000)
+    emb = pair_embedding(seq, 0, 1, 2, 1)
     assert N.one_to_one_norm(emb) == np.abs(emb.to_dense()).sum(axis=0).max()
 
 
