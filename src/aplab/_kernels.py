@@ -181,12 +181,14 @@ def infone_enum_kernel(mat):
 
 
 def poly_eval01_kernel(edge_ptr, edge_vtx, edge_mult, x):
-    """Sum of multiplicities over edges fully inside the 0/1 vector x."""
+    """Sum of multiplicities over edges fully inside the 0/1 vector x.
+
+    A 2-D x is a stack of 0/1 rows, and the result is one int64 per row.
+    """
     if edge_mult.shape[0] == 0:
-        return 0
-    vals = x[edge_vtx]
-    hits = np.minimum.reduceat(vals, edge_ptr[:-1])
-    return int(hits.astype(np.int64) @ edge_mult)
+        return np.zeros(x.shape[:-1], dtype=np.int64)
+    hits = np.minimum.reduceat(x[..., edge_vtx], edge_ptr[:-1], axis=-1)
+    return hits.astype(np.int64) @ edge_mult
 
 
 def row_weight_kernel(u, d_i, good, r, n):

@@ -308,11 +308,9 @@ def cmd_kimvu(args) -> int:
         report = hyperpoly.verify_set_vs_bernoulli(h, t, p)
         results["set_mean"] = _epsilon_str(report.set_mean)
         results["bernoulli_mean"] = _epsilon_str(report.bernoulli_mean)
-        tails = {}
-        for c in (0.5, 1.0, 2.0):
-            tails[f"c={c:g}"] = hyperpoly.tail_probe(h, t, p, c, args.trials,
-                                                     stream(args.seed, 22))
-        results["tail"] = tails
+        factors = (0.5, 1.0, 2.0)
+        tails = hyperpoly.tail_probe(h, t, p, factors, args.trials, stream(args.seed, 22))
+        results["tail"] = {f"c={c:g}": frac for c, frac in zip(factors, tails)}
         _assert_into(payload, "set-vs-bernoulli", report.holds,
                      f"set={report.set_mean} bernoulli={report.bernoulli_mean}")
     else:

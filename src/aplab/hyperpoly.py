@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, log
+from math import ceil, comb, log
 from typing import Iterable
 
 import numpy as np
@@ -83,8 +83,6 @@ def poly_value(h: HypergraphPoly, x) -> int:
     if arr.max(initial=0) > 1:
         raise ValueError("input entries must be 0 or 1")
     ptr, vtx, mult = h._arrays()
-    if mult.shape[0] == 0:
-        return h._const
     return h._const + int(_kernels.poly_eval01_kernel(ptr, vtx, mult, arr))
 
 
@@ -295,13 +293,15 @@ def verify_set_vs_bernoulli(h: HypergraphPoly, t: int, p) -> SetVsBernoulliRepor
     return SetVsBernoulliReport(lhs, rhs, lhs <= 2 * rhs)
 
 
-def tail_probe(h: HypergraphPoly, t: int, p, c_factor: float, trials: int,
-               rng) -> float:
-    """Empirical tail of f over uniform t-subsets.
+def tail_probe(h: HypergraphPoly, t: int, p, c_factors: tuple[float, ...],
+               trials: int, rng) -> tuple[float, ...]:
+    """Empirical tails of f over uniform t-subsets, one per factor c.
 
-    Reports the fraction of draws with f(1_S) at least
-    c_factor * (log n)^(k - 1/2) * mu, where k is the max edge size and
-    mu the profile maximum at parameter p.  Reported, never asserted:
+    Reports, for each c in ``c_factors``, the fraction of draws with
+    f(1_S) at least c * (log n)^(k - 1/2) * mu, where k is the max edge
+    size and mu the profile maximum at parameter p.  The draws are shared
+    by all factors.  f is an integer, so it reaches a threshold exactly
+    when it reaches the threshold's ceiling.  Reported, never asserted:
     the matching tail bound holds for large enough unspecified constants.
     """
     if trials < 1:
@@ -310,12 +310,16 @@ def tail_probe(h: HypergraphPoly, t: int, p, c_factor: float, trials: int,
         raise ValueError("tail threshold needs n >= 2")
     profile = mu_profile(h, p)
     k = max(h.max_edge_size(), 1)
-    threshold = c_factor * log(h.n) ** (k - 0.5) * float(profile.mu_max)
-    hits = 0
-    x = np.zeros(h.n, dtype=np.uint8)
-    for _ in range(trials):
-        x[:] = 0
-        x[rng.choice(h.n, size=t, replace=False)] = 1
-        if poly_value(h, x) >= threshold:
-            hits += 1
-    return hits / trials
+    scale = log(h.n) ** (k - 0.5)
+    mu = float(profile.mu_max)
+    rows = np.zeros((trials, h.n), dtype=np.uint8)
+    for row in rows:
+        row[rng.choice(h.n, size=t, replace=False)] = 1
+    ptr, vtx, mult = h._arrays()
+    # blocks of rows keep the gathered (rows, incidences) array near 1 MB
+    block = max(1, (1 << 20) // max(len(vtx), 1))
+    values = h._const + np.concatenate(
+        [_kernels.poly_eval01_kernel(ptr, vtx, mult, rows[lo:lo + block])
+         for lo in range(0, trials, block)])
+    return tuple(int(np.count_nonzero(values >= ceil(c * scale * mu))) / trials
+                 for c in c_factors)

@@ -37,6 +37,12 @@ class IntersectivityVerdict:
     method: str  # "exact" or "heuristic"
 
 
+def _base_supports(seq: DifferenceSequence, k: int) -> set[frozenset[int]]:
+    """The distinct supports {0, d, ..., (k-1)d} of the differences in seq."""
+    n = seq.group.modulus
+    return {frozenset(step * d % n for step in range(k)) for d in seq.distinct()}
+
+
 def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, ...]]:
     """Distinct progression supports with supersets removed.
 
@@ -56,7 +62,7 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
     rows dropped, since translates coincide when D holds N/2 or N/3.
     """
     n = seq.group.modulus
-    bases = {frozenset(step * d % n for step in range(k)) for d in seq.distinct()}
+    bases = _base_supports(seq, k)
     kept = [b for b in bases
             if not any(len(c) < len(b) and all((y + z) % n in b for z in c)
                        for c in bases for y in b)]
@@ -72,22 +78,63 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
     return supports
 
 
+def odd_cycle_certified(seq: DifferenceSequence, k: int, target: int) -> bool:
+    """True when an averaging bound proves seq has no free set of ``target`` points.
+
+    A one-point support {0} (d = 0) bans every vertex.  Otherwise the
+    two-point supports {0, e} make every free set independent in the
+    circulant graph Cay(Z/N, {+e, -e}).  If its shortest odd closed walk
+    from 0 has length g, that walk is a g-cycle, and its N translates
+    cover each vertex g times; a free set holds at most (g - 1)/2 points
+    of each translate, so it has at most floor(N (g - 1) / (2g)) points
+    (Albertson & Collins, Discrete Math. 54, 1985).  The bound grows with
+    g, so the scan of odd lengths stops once it reaches the target, and
+    at N, the longest cycle there is.  ``reach`` holds, as an N-bit int,
+    the end points of the walks of length t from 0.  False only means
+    that this bound proves nothing.
+    """
+    n = seq.group.modulus
+    if target < 1:
+        return False
+    bases = _base_supports(seq, k)
+    if any(len(b) == 1 for b in bases):
+        return True
+    shifts = {s for b in bases if len(b) == 2 for e in b if e for s in (e, n - e)}
+    if not shifts:
+        return False
+    full = (1 << n) - 1
+    reach = 1
+    for t in range(1, n + 1):
+        step = 0
+        for s in shifts:
+            step |= (reach << s | reach >> (n - s)) & full
+        reach = step
+        if t % 2:
+            if n * (t - 1) // (2 * t) >= target:
+                return False
+            if reach & 1:
+                return True
+    return False
+
+
 def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tuple[int, ...]]:
     """A progression-free subset of size exactly ``target``, or None.
 
     Branch and bound over vertices in decreasing-degree order, trying to
     include each vertex before excluding it; a vertex that would complete
     a forbidden set is only excluded.  Free subsets are downward closed,
-    so searching at exactly the target size is complete.  Two rules prune
-    the tree, and neither removes a branch that holds a solution, so the
+    so searching at exactly the target size is complete.  Three rules prune
+    the tree, and none removes a branch that holds a solution, so the
     include-first search still returns the same (first) witness:
 
+    * Odd-cycle rule.  At the root, before any forbidden set is built,
+      ``odd_cycle_certified`` may prove that no free set of the target
+      size exists (always so when D holds 0); the answer is then None.
     * Vertex-0 rule.  The forbidden sets are invariant under translation,
-      so when no vertex is banned every free set has a translate through
-      the first vertex of the order (vertex 0, since translation also
-      gives every vertex the same degree).  If including that vertex
-      fails, no free set of the target size exists and its exclude branch
-      is skipped.
+      so every free set has a translate through the first vertex of the
+      order (vertex 0, since translation also gives every vertex the same
+      degree).  If including that vertex fails, no free set of the target
+      size exists and its exclude branch is skipped.
     * Packing bound.  A forbidden set with no excluded vertex is live, and
       its undecided vertices form its residual; every live residual must
       lose at least one vertex.  The undecided count minus a greedy packing
@@ -98,26 +145,20 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
     n = seq.group.modulus
     if target <= 0:
         return ()
-    if target > n:
+    if target > n or odd_cycle_certified(seq, k, target):
         return None
     edges = minimal_forbidden_sets(seq, k)
-    banned = {e[0] for e in edges if len(e) == 1}
-    edges = [e for e in edges if len(e) > 1]
-    avail = [v for v in range(n) if v not in banned]
-    if target > len(avail):
-        return None
     edge_masks = [sum(1 << v for v in e) for e in edges]
-    vert_masks: dict[int, list[int]] = {v: [] for v in avail}
+    vert_masks: list[list[int]] = [[] for _ in range(n)]
     for e, mask in zip(edges, edge_masks):
         for v in e:
             vert_masks[v].append(mask)
-    order = sorted(avail, key=lambda v: (-len(vert_masks[v]), v))
+    order = sorted(range(n), key=lambda v: (-len(vert_masks[v]), v))
     # decided[pos] / undecided[pos]: vertex masks of order[:pos] / order[pos:]
     decided = [0]
     for v in order:
         decided.append(decided[-1] | 1 << v)
     undecided = [decided[-1] & ~d for d in decided]
-    symmetric = not banned
 
     def descend(pos: int, needed: int, chosen: int) -> Optional[int]:
         if needed == 0:
@@ -140,7 +181,7 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
         with_v = chosen | 1 << v
         if all(mask & ~with_v for mask in vert_masks[v]):
             found = descend(pos + 1, needed - 1, with_v)
-            if found is not None or (pos == 0 and symmetric):
+            if found is not None or pos == 0:
                 return found
         return descend(pos + 1, needed, chosen)
 
@@ -169,11 +210,13 @@ def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerd
     """Decide whether seq is intersective at the density target.
 
     Up to ``EXACT_LIMIT`` branch and bound settles the answer completely.
-    Beyond it the heuristic searcher runs with draws from ``rng``: a free
-    set it finds settles the answer (False) exactly, and when it finds
-    none the verdict is True on heuristic evidence alone, which can
-    overstate intersectivity but never understate it.  A witness is
-    checked progression-free before it is returned.
+    Beyond it, a list that ``odd_cycle_certified`` proves intersective is
+    an exact True with no draws from ``rng``.  Otherwise the heuristic
+    searcher runs with draws from ``rng``: a free set it finds settles
+    the answer (False) exactly, and when it finds none the verdict is
+    True on heuristic evidence alone, which can overstate intersectivity
+    but never understate it.  A witness is checked progression-free
+    before it is returned.
     """
     group = seq.group
     target = density_target(group, params)
@@ -181,6 +224,8 @@ def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerd
         method = "exact"
         found = exact_free_set(seq, params.k, target)
         witness = None if found is None else SubsetMask.from_indices(group, found)
+    elif odd_cycle_certified(seq, params.k, target):
+        return IntersectivityVerdict(True, None, "exact")
     else:
         method = "heuristic"
         size, mem = _heuristic_free_set(seq, params.k, target, rng)

@@ -296,10 +296,12 @@ def test_criterion_11_pruning(criterion):
 def test_criterion_12_threshold_growth(criterion):
     """m-hat nondecreasing over N in {17, 31, 61, 127}; ratio at most 3.
 
-    N=61 and N=127 lie above the exact limit, so their trials are decided
-    by the heuristic search alone: a trial whose search finds no free set
-    counts as intersective.  That can overstate intersectivity but never
-    understate it, so those two points are one-sided.
+    N=61 and N=127 lie above the exact limit.  There a trial whose list
+    an odd cycle proves intersective is settled exactly; every other trial
+    is decided by the heuristic search alone, and one whose search finds
+    no free set counts as intersective.  That can overstate
+    intersectivity but never understate it, so those two points are
+    partly proved and partly one-sided.
     """
     deadline = 600.0
     start = time.monotonic()

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aplab import discrepancy, embedding, intersectivity
+from aplab import _kernels, discrepancy, embedding, intersectivity
 from aplab.cli import _verify_dominance, main
 from aplab.records import iter_ledger
 
@@ -67,6 +67,25 @@ def test_check_heuristic_branch(capsys, tmp_path):
     assert payload["results"]["method"] == "heuristic"
     assert payload["results"]["intersective"] is False
     assert len(payload["results"]["witness"]) >= payload["results"]["target_size"]
+
+
+def test_check_certified_above_exact_limit(capsys, tmp_path, monkeypatch):
+    """An odd cycle proves D = {1, 2} intersective in Z/61 with no search.
+
+    With k = 2, 1 + 1 - 2 = 0 closes a triangle, so a free set has at most
+    floor(61 * 2 / 6) = 20 < 25 points.
+    """
+    def no_search(*args):
+        raise AssertionError("the search kernel ran")
+
+    monkeypatch.setattr(_kernels, "apfree_search_kernel", no_search)
+    code, out = run_cli(capsys, tmp_path, "check", "--modulus", "61", "--k", "2",
+                        "--epsilon", "0.4", "--differences", "1,2")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["params"]["exact_limit"] < 61
+    assert payload["results"] == {"intersective": True, "method": "exact",
+                                  "target_size": 25, "witness": None}
 
 
 def test_verify_all_pass(capsys, tmp_path):

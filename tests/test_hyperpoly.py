@@ -1,6 +1,7 @@
 """Multiplicity hypergraphs, moment profiles, and the two averaging models."""
 from fractions import Fraction
 from itertools import combinations, product
+from math import log
 
 import numpy as np
 import pytest
@@ -188,10 +189,35 @@ def test_set_vs_bernoulli_preconditions():
     assert rep.set_mean <= 2 * rep.bernoulli_mean
 
 
+def reference_tails(h, t, p, factors, trials, rng):
+    """One uniform t-subset at a time, f by poly_value, float thresholds."""
+    values = []
+    for _ in range(trials):
+        x = np.zeros(h.n, dtype=np.uint8)
+        x[rng.choice(h.n, size=t, replace=False)] = 1
+        values.append(H.poly_value(h, x))
+    mu = float(H.mu_profile(h, p).mu_max)
+    scale = log(h.n) ** (max(h.max_edge_size(), 1) - 0.5)
+    return tuple(sum(v >= c * scale * mu for v in values) / trials for c in factors)
+
+
 def test_tail_probe_range():
+    """One set of draws serves every factor, each compared with f exactly."""
     seq = DifferenceSequence(Group(11), (1, 3))
     h = H.build_pair_weight_hypergraph(seq, 0, [1], 1)
-    frac = H.tail_probe(h, 3, Fraction(4, 11), 1.0, 500, stream(71, 7))
-    assert 0.0 <= frac <= 1.0
+    p = Fraction(4, 11)
+    factors = (0.1, 0.2, 0.25, 100.0)
+    fracs = H.tail_probe(h, 4, p, factors, 500, stream(71, 7))
+    assert all(type(frac) is float for frac in fracs)
+    assert fracs[0] == 1.0 and 0.0 < fracs[2] < fracs[1] < 1.0
     # an absurdly high threshold is never exceeded
-    assert H.tail_probe(h, 3, Fraction(4, 11), 100.0, 200, stream(71, 8)) == 0.0
+    assert fracs[3] == 0.0
+    assert fracs == reference_tails(h, 4, p, factors, 500, stream(71, 7))
+    # 1980 incidences split 1200 draws into three row blocks
+    big = H.HypergraphPoly(12)
+    for edge in combinations(range(12), 4):
+        big.add_edge(edge, 1 + edge[0] * edge[3] % 5)
+    factors = (0.02, 0.05, 0.1)
+    fracs = H.tail_probe(big, 6, p, factors, 1200, stream(71, 8))
+    assert 0.0 < fracs[2] < fracs[1] < fracs[0] == 1.0
+    assert fracs == reference_tails(big, 6, p, factors, 1200, stream(71, 8))

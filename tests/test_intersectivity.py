@@ -8,7 +8,8 @@ from aplab.counting import DifferenceSequence, SubsetMask, ap_average
 from aplab.groups import ApParams, Group, as_density, density_target
 from aplab.intersectivity import (_heuristic_free_set, decide, estimate_critical_size,
                                   exact_free_set, minimal_forbidden_sets,
-                                  run_trials, trial, wilson_interval)
+                                  odd_cycle_certified, run_trials, trial,
+                                  wilson_interval)
 from aplab.rng import stream
 
 
@@ -169,6 +170,82 @@ def test_exact_limit_enforced():
         assert ap_average(v.witness, seq, 3).numerator == 0
 
 
+def test_odd_cycle_certificate_is_sound():
+    """A certified target has no free set, by exhaustive search.
+
+    Free sets are downward closed and the certified targets of one list
+    form an upward-closed range, so the search runs at its least element.
+    Lists hold 0, N/2 and N/3 besides random draws; for k >= 3 the only
+    two-point support is {0, N/2}, whose graph is bipartite.
+    """
+    rng = stream(61, 0)
+    proper = 0
+    for n in range(5, 26):
+        g = Group(n)
+        specials = [0] + [n // j for j in (2, 3) if n % j == 0]
+        for k in (2, 3, 4):
+            seqs = [DifferenceSequence.sample(g, int(rng.integers(1, 4)), rng)
+                    for _ in range(2)]
+            seqs += [DifferenceSequence(g, (int(rng.integers(1, n)), d)) for d in specials]
+            for seq in seqs:
+                certified = [t for t in range(n + 2) if odd_cycle_certified(seq, k, t)]
+                if not certified:
+                    continue
+                least = certified[0]
+                assert certified == list(range(least, n + 2)), (seq.entries, k)
+                assert plain_free_set(seq, k, least) is None, (seq.entries, k, least)
+                proper += 0 not in seq.entries
+    assert proper > 20
+
+
+def test_odd_cycle_certificate_known_cases():
+    # D = {1, 3} in Z/128 has only odd steps: the graph is bipartite, the
+    # even classes are free, and the odd-length scan stops at t = N
+    bipartite = DifferenceSequence(Group(128), (1, 3))
+    assert not any(odd_cycle_certified(bipartite, 2, t) for t in range(130))
+    # 1 + 1 - 2 = 0 closes a triangle in Z/127, so a free set has at most
+    # floor(127 * 2 / 6) = 42 points
+    triangle = DifferenceSequence(Group(127), (1, 2))
+    assert odd_cycle_certified(triangle, 2, 51)
+    assert odd_cycle_certified(triangle, 2, 43)
+    assert not odd_cycle_certified(triangle, 2, 42)
+    # the 5-cycle Z/5 with D = {1} has free sets of 2 points, none of 3
+    pentagon = DifferenceSequence(Group(5), (1,))
+    assert [odd_cycle_certified(pentagon, 2, t) for t in range(5)] == [
+        False, False, False, True, True]
+    # k = 3 has two-point supports only from N/2; d = 0 bans every vertex
+    assert not odd_cycle_certified(triangle, 3, 127)
+    assert odd_cycle_certified(DifferenceSequence(Group(9), (0, 4)), 3, 1)
+    assert not odd_cycle_certified(DifferenceSequence(Group(9), (0, 4)), 3, 0)
+
+
+def test_decide_matches_uncertified_reference(monkeypatch):
+    """Verdicts and witnesses are those of decide without the certificate."""
+    rng = stream(61, 1)
+    limit = intersectivity.EXACT_LIMIT
+    cases = []
+    for n, k, eps in ((limit, 2, 0.4), (limit + 1, 2, 0.4), (61, 2, 0.4),
+                      (64, 2, 0.45), (127, 2, 0.4), (limit + 1, 3, 0.5)):
+        g = Group(n)
+        specials = [0] + [n // j for j in (2, 3) if n % j == 0]
+        seqs = [DifferenceSequence.sample(g, int(rng.integers(1, 4)), rng)
+                for _ in range(6)]
+        seqs += [DifferenceSequence(g, (int(rng.integers(1, n)), d)) for d in specials]
+        cases += [(seq, ApParams(k, as_density(eps))) for seq in seqs]
+    got = [decide(seq, params, stream(61, 2, i)) for i, (seq, params) in enumerate(cases)]
+    monkeypatch.setattr(intersectivity, "odd_cycle_certified", lambda *args: False)
+    for i, (seq, params) in enumerate(cases):
+        want = decide(seq, params, stream(61, 2, i))
+        assert got[i].intersective == want.intersective, (seq.entries, params)
+        assert (got[i].witness is None) == (want.witness is None)
+        if want.witness is not None:
+            assert got[i].witness.indices() == want.witness.indices()
+    above = [v for (seq, _), v in zip(cases, got) if seq.group.modulus > limit]
+    assert {v.method for v in above} == {"exact", "heuristic"}
+    assert all(v.intersective for v in above if v.method == "exact")
+    assert any(not v.intersective for v in above)
+
+
 def test_minimal_forbidden_sets():
     g = Group(7)
     seq = DifferenceSequence(g, (1, 1, 2))  # repeat collapses
@@ -244,7 +321,9 @@ def test_trial_agreement_with_exact(monkeypatch):
 
 
 def test_trial_within_exact_limit_skips_the_heuristic(monkeypatch):
-    """One forbidden-set build and no heuristic search per exact trial."""
+    """No heuristic search within the exact limit, and one forbidden-set
+    build per trial that the odd-cycle certificate leaves open, none for a
+    certified trial."""
     calls = {"forbidden": 0, "search": 0}
     build, search = intersectivity.minimal_forbidden_sets, _kernels.apfree_search_kernel
 
@@ -259,11 +338,17 @@ def test_trial_within_exact_limit_skips_the_heuristic(monkeypatch):
     monkeypatch.setattr(intersectivity, "minimal_forbidden_sets", counted_build)
     monkeypatch.setattr(_kernels, "apfree_search_kernel", counted_search)
     g = Group(13)
-    params = ApParams(3, as_density(0.5))
-    for t in range(12):
-        before = calls["forbidden"]
-        trial(g, params, 2, stream(47, 1, t))
-        assert calls["forbidden"] == before + 1
+    certified = set()
+    for params in (ApParams(2, as_density(0.3)), ApParams(3, as_density(0.5))):
+        target = density_target(g, params)
+        for t in range(12):
+            seq = DifferenceSequence.sample(g, 2, stream(47, 1, t))
+            sure = odd_cycle_certified(seq, params.k, target)
+            before = calls["forbidden"]
+            trial(g, params, 2, stream(47, 1, t))
+            assert calls["forbidden"] == before + (not sure), seq.entries
+            certified.add(sure)
+    assert certified == {True, False}
     assert calls["search"] == 0
 
 

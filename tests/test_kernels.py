@@ -292,8 +292,12 @@ def test_poly_eval_kernel_paths_agree():
         mult = rng.integers(1, 4, size=nedges).astype(np.int64)
         x = (rng.random(n) < 0.5).astype(np.uint8)
         ptr, vtx, _, _ = K.csr_incidence(edges, n)
-        want = sum(int(c) for c, e in zip(mult, edges) if all(x[v] for v in e))
-        assert K.poly_eval01_kernel(ptr, vtx, mult, x) == want
+        rows = np.stack([x, 1 - x, np.ones_like(x)])
+        want = [sum(int(c) for c, e in zip(mult, edges) if all(row[v] for v in e))
+                for row in rows]
+        assert K.poly_eval01_kernel(ptr, vtx, mult, x) == want[0]
+        # a stack of rows gives one value per row
+        assert K.poly_eval01_kernel(ptr, vtx, mult, rows).tolist() == want
 
 
 def test_row_weight_kernel_paths_agree():
