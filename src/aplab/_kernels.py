@@ -29,7 +29,7 @@ _CHUNK_BITS = 16
 
 
 # ---------------------------------------------------------------------------
-# set systems in CSR form
+# set systems in CSR form, and bitsets as vectors
 
 
 def csr_incidence(sets, nvert):
@@ -50,6 +50,12 @@ def csr_incidence(sets, nvert):
     return ptr, vtx, v_ptr, v_items
 
 
+def bit_vector(members, nvert):
+    """uint8 vector of the low ``nvert`` bits of the int ``members``."""
+    packed = np.frombuffer(members.to_bytes((nvert + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=nvert, bitorder="little")
+
+
 # ---------------------------------------------------------------------------
 # progression counting
 
@@ -62,26 +68,15 @@ def ap_count_kernel(mem, d, k):
     return int(acc.sum())
 
 
-def all_diffs_count_kernel(mem, k):
-    """Progression starts summed over every difference d in the group."""
-    n = mem.shape[0]
-    base = mem.astype(bool)
-    total = 0
-    for d in range(n):
-        acc = base.copy()
-        for step in range(1, k):
-            acc &= np.roll(base, -step * d)
-        total += int(acc.sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration over all 2**nvert assignments
 #
 # Assignments are scanned in chunks of consecutive codes; a set bit in a
 # reported mask means that vertex carries -1 (over {-1,+1}) or 1 (over
-# {0,1}).  Terms arrive as coefficients plus vertex bitmasks.  Each
-# kernel reports the first maximizing code.
+# {0,1}).  Terms arrive as vertex bitmasks plus one value row each,
+# indexed by how many of the term's vertices a code sets, so one kernel
+# serves both cubes.  Each kernel reports the first maximizing code, and
+# ``bit_vector`` decodes it.
 #
 # The inf->1 scan uses the sign symmetry ||M^T u||_1 = ||M^T (-u)||_1 to
 # visit only the codes with the top bit clear, and needs no matrix
@@ -91,8 +86,14 @@ def all_diffs_count_kernel(mem, k):
 # these sums are exact, so the result equals the full 2**d scan.
 
 
-def pm_enum_kernel(nvert, base, term_coef, term_masks):
-    """Max of |base + sum_t coef_t * prod_{v in t} z_v| over z in {-1,+1}^nvert."""
+def cube_enum_kernel(nvert, base, term_masks, term_table):
+    """Max of |base + sum_t table_t[popcount(c & mask_t)]| over codes c < 2**nvert.
+
+    Row t of ``term_table`` gives term t's value by how many of its
+    vertices the code sets: c_t * (-1)**j on the {-1,+1} cube and
+    c_t * [j = |t|] on the {0,1} cube.  Returns the value and the first
+    maximizing code.
+    """
     best = np.int64(-1)
     best_mask = 0
     total = 1 << nvert
@@ -100,29 +101,8 @@ def pm_enum_kernel(nvert, base, term_coef, term_masks):
     for start in range(0, total, chunk):
         codes = np.arange(start, start + chunk, dtype=np.uint64)
         acc = np.full(codes.shape[0], base, dtype=np.int64)
-        for t in range(term_coef.shape[0]):
-            par = (np.bitwise_count(codes & term_masks[t]) & np.uint64(1)).astype(np.int64)
-            acc += term_coef[t] * (1 - 2 * par)
-        np.abs(acc, out=acc)
-        pos = int(np.argmax(acc))
-        if acc[pos] > best:
-            best = acc[pos]
-            best_mask = int(codes[pos])
-    return int(best), best_mask
-
-
-def z01_enum_kernel(nvert, base, term_coef, term_masks):
-    """Max of |base + sum_t coef_t * [t subset of A]| over A in {0,1}^nvert."""
-    best = np.int64(-1)
-    best_mask = 0
-    total = 1 << nvert
-    chunk = 1 << min(nvert, _CHUNK_BITS)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, start + chunk, dtype=np.uint64)
-        acc = np.full(codes.shape[0], base, dtype=np.int64)
-        for t in range(term_coef.shape[0]):
-            hit = (codes & term_masks[t]) == term_masks[t]
-            acc += term_coef[t] * hit.astype(np.int64)
+        for mask, row in zip(term_masks, term_table):
+            acc += row[np.bitwise_count(codes & mask)]
         np.abs(acc, out=acc)
         pos = int(np.argmax(acc))
         if acc[pos] > best:
@@ -233,12 +213,6 @@ def row_weight_kernel(u, d_i, good, r, n):
 # checks at scan time, adds exactly the vertices the full scan would.
 
 
-def _bit_vector(members, nvert):
-    """uint8 membership vector of the int bitset ``members``."""
-    packed = np.frombuffer(members.to_bytes((nvert + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=nvert, bitorder="little")
-
-
 def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
                          v_ptr, v_edges, perms, removals):
     """Best free set found by greedy restarts with swap passes.
@@ -279,7 +253,7 @@ def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
         if size > best_size:
             best_size, best = size, members
         if best_size >= target:
-            return best_size, _bit_vector(best, nvert)
+            return best_size, bit_vector(best, nvert)
         victim = -1
         for probe in probes:
             if not members:
@@ -310,5 +284,5 @@ def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
             if size > best_size:
                 best_size, best = size, members
             if best_size >= target:
-                return best_size, _bit_vector(best, nvert)
-    return best_size, _bit_vector(best, nvert)
+                return best_size, bit_vector(best, nvert)
+    return best_size, bit_vector(best, nvert)

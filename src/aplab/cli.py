@@ -34,10 +34,6 @@ def _assert_into(payload: dict, name: str, ok: bool, detail: str = "") -> None:
     payload["assertions"].append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _epsilon_str(eps: Fraction) -> str:
-    return f"{eps.numerator}/{eps.denominator}"
-
-
 def _difference_list(text: str) -> tuple[int, ...]:
     """The comma-separated ``--differences`` value; raises ValueError."""
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -63,7 +59,7 @@ def cmd_critical_size(args) -> int:
     params = ApParams(args.k, as_density(args.epsilon))
     payload = _payload("critical-size", {
         "modulus": args.modulus, "k": args.k,
-        "epsilon": _epsilon_str(params.epsilon), "trials": args.trials,
+        "epsilon": params.epsilon, "trials": args.trials,
         "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
     est = intersectivity.estimate_critical_size(
@@ -85,7 +81,7 @@ def cmd_check(args) -> int:
     seq = DifferenceSequence(group, diffs)
     payload = _payload("check", {
         "modulus": args.modulus, "k": args.k,
-        "epsilon": _epsilon_str(params.epsilon),
+        "epsilon": params.epsilon,
         "differences": list(diffs), "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
     verdict = intersectivity.decide(seq, params, stream(args.seed, 1))
@@ -276,12 +272,12 @@ def cmd_kimvu(args) -> int:
         h.add_edge((0,))
         profile = hyperpoly.mu_profile(h, p)
         payload = _payload("kimvu", {
-            "modulus": n, "single_edge": True, "prob": _epsilon_str(p),
+            "modulus": n, "single_edge": True, "prob": p,
         }, args.seed)
         payload["results"] = {
-            "mu": [_epsilon_str(v) for v in profile.mu],
-            "mu_max": _epsilon_str(profile.mu_max),
-            "mu_prime": _epsilon_str(profile.mu_prime),
+            "mu": profile.mu,
+            "mu_max": profile.mu_max,
+            "mu_prime": profile.mu_prime,
         }
         _assert_into(payload, "single-edge-profile",
                      profile.mu[0] == p and profile.mu[1] == 1,
@@ -292,7 +288,7 @@ def cmd_kimvu(args) -> int:
     p = Fraction(s, n)
     payload = _payload("kimvu", {
         "modulus": n, "k": args.k, "m": args.m, "s": s, "t": t,
-        "prob": _epsilon_str(p), "trials": args.trials,
+        "prob": p, "trials": args.trials,
     }, args.seed)
     rng = stream(args.seed, 20)
     seq = DifferenceSequence.sample(group, args.m, rng)
@@ -302,14 +298,15 @@ def cmd_kimvu(args) -> int:
     results = {
         "differences": list(seq.entries),
         "edge_count": h.edge_count(),
-        "mu": [_epsilon_str(v) for v in profile.mu] if profile else [],
+        "mu": profile.mu if profile else [],
     }
     if h.edge_count():
         report = hyperpoly.verify_set_vs_bernoulli(h, t, p)
-        results["set_mean"] = _epsilon_str(report.set_mean)
-        results["bernoulli_mean"] = _epsilon_str(report.bernoulli_mean)
+        results["set_mean"] = report.set_mean
+        results["bernoulli_mean"] = report.bernoulli_mean
         factors = (0.5, 1.0, 2.0)
-        tails = hyperpoly.tail_probe(h, t, p, factors, args.trials, stream(args.seed, 22))
+        tails = hyperpoly.tail_probe(h, t, profile.mu_max, factors, args.trials,
+                                     stream(args.seed, 22))
         results["tail"] = {f"c={c:g}": frac for c, frac in zip(factors, tails)}
         _assert_into(payload, "set-vs-bernoulli", report.holds,
                      f"set={report.set_mean} bernoulli={report.bernoulli_mean}")

@@ -128,6 +128,6 @@ def ap_average_all(mask: SubsetMask, k: int) -> RationalCount:
     if k < 1:
         raise ValueError("progression length must be at least 1")
     n = mask.group.modulus
-    total = int(_kernels.all_diffs_count_kernel(mask.membership, k))
+    total = sum(_kernels.ap_count_kernel(mask.membership, d, k) for d in range(n))
     return RationalCount(total, n * n)
 

@@ -10,7 +10,6 @@ between the functionals are checked without floating point.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
@@ -60,24 +59,6 @@ def _as_signs(vec, length: int) -> np.ndarray:
     return arr
 
 
-def signed_total(seq: DifferenceSequence, sigma, Z, k: int) -> int:
-    """Integer numerator of the signed average, exact over m*N."""
-    n = seq.group.modulus
-    m = len(seq)
-    sig = _as_signs(sigma, m)
-    zz = _as_signs(Z, n)
-    diffs = np.asarray(seq.entries, dtype=np.int64)
-    idx = (np.arange(n)[None, :, None]
-           + diffs[:, None, None] * np.arange(k)[None, None, :]) % n
-    prods = zz[idx].prod(axis=2)
-    return int(sig @ prods.sum(axis=1))
-
-
-def signed_objective(seq: DifferenceSequence, sigma, Z, k: int) -> RationalCount:
-    """The signed average itself, numerator over m*N."""
-    return RationalCount(signed_total(seq, sigma, Z, k), len(seq) * seq.group.modulus)
-
-
 def _window_products(seq: DifferenceSequence, zz: np.ndarray, k: int) -> np.ndarray:
     """H[i, x] = prod_{l=1}^{k-1} Z(x + l*d_i), shape (m, N)."""
     n = seq.group.modulus
@@ -87,18 +68,31 @@ def _window_products(seq: DifferenceSequence, zz: np.ndarray, k: int) -> np.ndar
     return zz[idx].prod(axis=2)
 
 
+def signed_total(seq: DifferenceSequence, sigma, Z, k: int) -> int:
+    """Integer numerator of the signed average, exact over m*N: sigma . (H Z)."""
+    sig = _as_signs(sigma, len(seq))
+    zz = _as_signs(Z, seq.group.modulus)
+    return int(sig @ (_window_products(seq, zz, k) @ zz))
+
+
+def signed_objective(seq: DifferenceSequence, sigma, Z, k: int) -> RationalCount:
+    """The signed average itself, numerator over m*N."""
+    return RationalCount(signed_total(seq, sigma, Z, k), len(seq) * seq.group.modulus)
+
+
 def verify_cauchy_schwarz_step(seq: DifferenceSequence, sigma, Z, k: int) -> bool:
     """Check S^2 <= N * T with S the signed numerator and T the paired square.
 
-    T = sum_x (sum_i sigma_i H_i(x))^2 expands to the pair sum over
-    (i, j) with window products, which is the square-and-split step
-    applied pointwise.  Both sides are exact integers.
+    With g = sigma H, the signed numerator is S = g . Z, and
+    T = sum_x g(x)^2 expands to the pair sum over (i, j) with window
+    products, which is the square-and-split step applied pointwise.
+    Both sides are exact integers.
     """
     n = seq.group.modulus
     sig = _as_signs(sigma, len(seq))
     zz = _as_signs(Z, n)
-    s = signed_total(seq, sigma, Z, k)
     g = sig @ _window_products(seq, zz, k)
+    s = int(g @ zz)
     t = int(g @ g)
     return s * s <= n * t
 
@@ -113,33 +107,21 @@ class SignSearchResult:
     witness: np.ndarray  # a Z attaining value
 
 
-def _pm_terms(seq: DifferenceSequence, sigma, k: int):
-    """Group (i, x) terms by the odd-multiplicity part of their support.
+def _terms(seq: DifferenceSequence, sigma, k: int, signed: bool):
+    """Group (i, x) terms by their support, with integer coefficients.
 
-    Over {-1,+1} inputs a point visited an even number of times drops out
-    of the product, so terms collapse onto their odd-visit vertex sets
-    with integer coefficients; zero coefficients are discarded.
+    On the {-1,+1} cube (``signed``) a point visited an even number of
+    times drops out of the product, so the support is the odd-visit
+    points; on the {0,1} cube it is the distinct points.  Zero
+    coefficients are discarded, and the empty support is the base.
     """
     n = seq.group.modulus
     sig = _as_signs(sigma, len(seq))
     terms: dict[tuple[int, ...], int] = {}
     for i, d in enumerate(seq.entries):
         for x in range(n):
-            visits = Counter((x + step * d) % n for step in range(k))
-            supp = tuple(sorted(y for y, c in visits.items() if c % 2 == 1))
-            terms[supp] = terms.get(supp, 0) + int(sig[i])
-    base = terms.pop((), 0)
-    return {s: c for s, c in terms.items() if c != 0}, base
-
-
-def _01_terms(seq: DifferenceSequence, sigma, k: int):
-    """Group (i, x) terms by the distinct points of their support."""
-    n = seq.group.modulus
-    sig = _as_signs(sigma, len(seq))
-    terms: dict[tuple[int, ...], int] = {}
-    for i, d in enumerate(seq.entries):
-        for x in range(n):
-            supp = tuple(sorted({(x + step * d) % n for step in range(k)}))
+            pts = [(x + step * d) % n for step in range(k)]
+            supp = tuple(sorted({y for y in pts if pts.count(y) % 2} if signed else set(pts)))
             terms[supp] = terms.get(supp, 0) + int(sig[i])
     base = terms.pop((), 0)
     return {s: c for s, c in terms.items() if c != 0}, base
@@ -158,26 +140,27 @@ def _term_arrays(terms: dict[tuple[int, ...], int]):
     return involved, coef, [tuple(remap[v] for v in s) for s in supports]
 
 
-def _enumerate(terms, base, n, kernel, off, on):
-    """Exact maximum of |base + terms| and a witness over {off, on}^n."""
+def _enumerate(terms, base, n, signed: bool):
+    """Exact maximum of |base + terms| and a witness over {-1,+1}^n or {0,1}^n.
+
+    A term with coefficient c on support t is worth c * (-1)^j on the
+    {-1,+1} cube and c * [j = |t|] on the {0,1} cube, where j counts the
+    support points set to -1 or to 1.
+    """
     involved, coef, local = _term_arrays(terms)
-    witness = np.full(n, off, dtype=np.int64)
-    if not involved:
-        return abs(base), witness
-    masks = np.array([sum(1 << v for v in s) for s in local], dtype=np.uint64)
-    best, mask = kernel(len(involved), base, coef, masks)
-    for b, v in enumerate(involved):
-        if (int(mask) >> b) & 1:
-            witness[v] = on
-    return int(best), witness
-
-
-def _enumerate_pm(terms, base, n):
-    return _enumerate(terms, base, n, _kernels.pm_enum_kernel, 1, -1)
-
-
-def _enumerate_01(terms, base, n):
-    return _enumerate(terms, base, n, _kernels.z01_enum_kernel, 0, 1)
+    witness = np.zeros(n, dtype=np.int64)  # 1 marks a -1 or a member
+    best = abs(base)
+    if involved:
+        masks = np.array([sum(1 << v for v in s) for s in local], dtype=np.uint64)
+        j = np.arange(len(involved) + 1)
+        if signed:
+            rows = 1 - 2 * (j & 1)[None, :]
+        else:
+            rows = j[None, :] == np.bitwise_count(masks)[:, None]
+        best, code = _kernels.cube_enum_kernel(len(involved), base, masks,
+                                               coef[:, None] * rows)
+        witness[involved] = _kernels.bit_vector(code, len(involved))
+    return best, 1 - 2 * witness if signed else witness
 
 
 def max_over_signs(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
@@ -190,8 +173,8 @@ def max_over_signs(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
     n = seq.group.modulus
     if n > _kernels.ENUM_LIMIT:
         raise ValueError(f"exact sign enumeration limited to N <= {_kernels.ENUM_LIMIT}")
-    terms, base = _pm_terms(seq, sigma, k)
-    best, witness = _enumerate_pm(terms, base, n)
+    terms, base = _terms(seq, sigma, k, signed=True)
+    best, witness = _enumerate(terms, base, n, signed=True)
     return SignSearchResult(Fraction(best, len(seq) * n), witness)
 
 
@@ -200,8 +183,8 @@ def max_over_01(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
     n = seq.group.modulus
     if n > _kernels.ENUM_LIMIT:
         raise ValueError(f"exact subset enumeration limited to N <= {_kernels.ENUM_LIMIT}")
-    terms, base = _01_terms(seq, sigma, k)
-    best, witness = _enumerate_01(terms, base, n)
+    terms, base = _terms(seq, sigma, k, signed=False)
+    best, witness = _enumerate(terms, base, n, signed=False)
     return SignSearchResult(Fraction(best, len(seq) * n), witness)
 
 
@@ -212,16 +195,17 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
     maximum over the cube is attained at a vertex of the larger cube;
     this checks that instance by instance with both exact enumerations.
     Both cubes evaluate the same multilinear polynomial, the distinct-point
-    terms of ``_01_terms``: when a progression repeats a point, reducing by
-    z^2 = 1 and by a^2 = a gives different polynomials, and dominance
-    between two different polynomials need not hold.
+    terms that ``_terms`` builds for the {0,1} cube: when a progression
+    repeats a point, reducing by z^2 = 1 and by a^2 = a gives different
+    polynomials, and dominance between two different polynomials need
+    not hold.
     """
     n = seq.group.modulus
     if n > _kernels.ENUM_LIMIT:
         raise ValueError(f"dominance check limited to N <= {_kernels.ENUM_LIMIT}")
-    terms, base = _01_terms(seq, sigma, k)
-    pm_best, _ = _enumerate_pm(terms, base, n)
-    zo_best, _ = _enumerate_01(terms, base, n)
+    terms, base = _terms(seq, sigma, k, signed=False)
+    pm_best, _ = _enumerate(terms, base, n, signed=True)
+    zo_best, _ = _enumerate(terms, base, n, signed=False)
     return pm_best >= zo_best
 
 

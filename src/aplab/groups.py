@@ -57,11 +57,6 @@ class ApParams:
             raise ValueError("epsilon must lie in (0, 1]")
 
     @property
-    def t(self) -> int:
-        """Number of nonzero steps in a k-point progression."""
-        return self.k - 1
-
-    @property
     def r(self) -> int:
         """Half-length (k-1)/2, defined for odd k only."""
         if self.k % 2 == 0:

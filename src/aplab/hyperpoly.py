@@ -293,25 +293,25 @@ def verify_set_vs_bernoulli(h: HypergraphPoly, t: int, p) -> SetVsBernoulliRepor
     return SetVsBernoulliReport(lhs, rhs, lhs <= 2 * rhs)
 
 
-def tail_probe(h: HypergraphPoly, t: int, p, c_factors: tuple[float, ...],
-               trials: int, rng) -> tuple[float, ...]:
+def tail_probe(h: HypergraphPoly, t: int, mu_max: Fraction,
+               c_factors: tuple[float, ...], trials: int, rng) -> tuple[float, ...]:
     """Empirical tails of f over uniform t-subsets, one per factor c.
 
     Reports, for each c in ``c_factors``, the fraction of draws with
     f(1_S) at least c * (log n)^(k - 1/2) * mu, where k is the max edge
-    size and mu the profile maximum at parameter p.  The draws are shared
-    by all factors.  f is an integer, so it reaches a threshold exactly
-    when it reaches the threshold's ceiling.  Reported, never asserted:
-    the matching tail bound holds for large enough unspecified constants.
+    size and mu is ``mu_max``, the maximum of the caller's ``mu_profile``
+    at its parameter p.  The draws are shared by all factors.  f is an
+    integer, so it reaches a threshold exactly when it reaches the
+    threshold's ceiling.  Reported, never asserted: the matching tail
+    bound holds for large enough unspecified constants.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if h.n < 2:
         raise ValueError("tail threshold needs n >= 2")
-    profile = mu_profile(h, p)
     k = max(h.max_edge_size(), 1)
     scale = log(h.n) ** (k - 0.5)
-    mu = float(profile.mu_max)
+    mu = float(mu_max)
     rows = np.zeros((trials, h.n), dtype=np.uint8)
     for row in rows:
         row[rng.choice(h.n, size=t, replace=False)] = 1

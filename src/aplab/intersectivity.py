@@ -120,9 +120,9 @@ def odd_cycle_certified(seq: DifferenceSequence, k: int, target: int) -> bool:
 def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tuple[int, ...]]:
     """A progression-free subset of size exactly ``target``, or None.
 
-    Branch and bound over vertices in decreasing-degree order, trying to
-    include each vertex before excluding it; a vertex that would complete
-    a forbidden set is only excluded.  Free subsets are downward closed,
+    Branch and bound over the vertices 0..N-1 in order, trying to include
+    each vertex before excluding it; a vertex that would complete a
+    forbidden set is only excluded.  Free subsets are downward closed,
     so searching at exactly the target size is complete.  Three rules prune
     the tree, and none removes a branch that holds a solution, so the
     include-first search still returns the same (first) witness:
@@ -131,10 +131,9 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
       ``odd_cycle_certified`` may prove that no free set of the target
       size exists (always so when D holds 0); the answer is then None.
     * Vertex-0 rule.  The forbidden sets are invariant under translation,
-      so every free set has a translate through the first vertex of the
-      order (vertex 0, since translation also gives every vertex the same
-      degree).  If including that vertex fails, no free set of the target
-      size exists and its exclude branch is skipped.
+      so every free set has a translate through vertex 0.  If including
+      vertex 0 fails, no free set of the target size exists and its
+      exclude branch is skipped.
     * Packing bound.  A forbidden set with no excluded vertex is live, and
       its undecided vertices form its residual; every live residual must
       lose at least one vertex.  The undecided count minus a greedy packing
@@ -153,21 +152,16 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
     for e, mask in zip(edges, edge_masks):
         for v in e:
             vert_masks[v].append(mask)
-    order = sorted(range(n), key=lambda v: (-len(vert_masks[v]), v))
-    # decided[pos] / undecided[pos]: vertex masks of order[:pos] / order[pos:]
-    decided = [0]
-    for v in order:
-        decided.append(decided[-1] | 1 << v)
-    undecided = [decided[-1] & ~d for d in decided]
+    full = (1 << n) - 1
 
-    def descend(pos: int, needed: int, chosen: int) -> Optional[int]:
+    def descend(v: int, needed: int, chosen: int) -> Optional[int]:
         if needed == 0:
             return chosen
-        slack = len(order) - pos - needed
+        slack = n - v - needed
         if slack < 0:
             return None
-        excluded = decided[pos] & ~chosen
-        rest = undecided[pos]
+        rest = full >> v << v  # the undecided vertices v..N-1
+        excluded = full ^ rest ^ chosen  # the decided vertices left out
         packed = 0
         for mask in edge_masks:
             if not mask & excluded:
@@ -177,13 +171,12 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
                     slack -= 1
                     if slack < 0:
                         return None
-        v = order[pos]
         with_v = chosen | 1 << v
         if all(mask & ~with_v for mask in vert_masks[v]):
-            found = descend(pos + 1, needed - 1, with_v)
-            if found is not None or pos == 0:
+            found = descend(v + 1, needed - 1, with_v)
+            if found is not None or v == 0:
                 return found
-        return descend(pos + 1, needed, chosen)
+        return descend(v + 1, needed, chosen)
 
     found = descend(0, target, 0)
     if found is None:

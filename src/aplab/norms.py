@@ -104,11 +104,7 @@ def inf_to_one_exact(mat) -> tuple[float, np.ndarray]:
     if d == 0:
         return 0.0, np.ones(0, dtype=np.int64)
     best, mask = _kernels.infone_enum_kernel(arr)
-    u = np.ones(d, dtype=np.int64)
-    for b in range(d):
-        if (int(mask) >> b) & 1:
-            u[b] = -1
-    return float(best), u
+    return float(best), 1 - 2 * _kernels.bit_vector(mask, d).astype(np.int64)
 
 
 def _sign_plus(vec: np.ndarray) -> np.ndarray:

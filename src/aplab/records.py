@@ -47,10 +47,6 @@ def dumps_record(record: dict) -> str:
     return _emit(record)
 
 
-def loads_record(line: str) -> dict:
-    return json.loads(line)
-
-
 def append_ledger(path: str, record: dict) -> None:
     with open(path, "a", encoding="ascii") as fh:
         fh.write(dumps_record(record) + "\n")
@@ -61,7 +57,7 @@ def iter_ledger(path: str) -> Iterator[dict]:
         for line in fh:
             line = line.strip()
             if line:
-                yield loads_record(line)
+                yield json.loads(line)
 
 
 def _flatten(prefix: str, value, rows: list) -> None:

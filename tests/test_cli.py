@@ -1,5 +1,9 @@
 """End-to-end subcommand behavior through main(argv)."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,22 @@ def test_seeds_change_draws(capsys, tmp_path):
     _, b = run_cli(capsys, tmp_path, "khintchine", "--dim", "8", "--count",
                    "4", "--trials", "20", "--seed", "2")
     assert json.loads(a)["results"] != json.loads(b)["results"]
+
+
+def test_verify_never_imports_scipy(tmp_path):
+    """A fresh interpreter runs ``verify`` without loading any scipy module.
+
+    scipy is imported lazily, inside the functions that build sparse
+    matrices; importing scipy.sparse takes about as long as a short
+    workload run.
+    """
+    ledger = str(tmp_path / "runs.ledger")
+    script = ("import sys\n"
+              "import aplab.cli\n"
+              f"code = aplab.cli.main(['verify', '--seed', '0', '--out', {ledger!r}])\n"
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "print(code, loaded, file=sys.stderr)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert done.stderr.splitlines()[-1] == "0 []"

@@ -36,7 +36,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ApParams(3, Fraction(6, 5))
     p = ApParams(5)
-    assert p.t == 4
     assert p.r == 2
     with pytest.raises(ValueError):
         _ = ApParams(4).r  # even k has no half-length

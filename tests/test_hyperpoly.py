@@ -207,7 +207,7 @@ def test_tail_probe_range():
     h = H.build_pair_weight_hypergraph(seq, 0, [1], 1)
     p = Fraction(4, 11)
     factors = (0.1, 0.2, 0.25, 100.0)
-    fracs = H.tail_probe(h, 4, p, factors, 500, stream(71, 7))
+    fracs = H.tail_probe(h, 4, H.mu_profile(h, p).mu_max, factors, 500, stream(71, 7))
     assert all(type(frac) is float for frac in fracs)
     assert fracs[0] == 1.0 and 0.0 < fracs[2] < fracs[1] < 1.0
     # an absurdly high threshold is never exceeded
@@ -218,6 +218,6 @@ def test_tail_probe_range():
     for edge in combinations(range(12), 4):
         big.add_edge(edge, 1 + edge[0] * edge[3] % 5)
     factors = (0.02, 0.05, 0.1)
-    fracs = H.tail_probe(big, 6, p, factors, 1200, stream(71, 8))
+    fracs = H.tail_probe(big, 6, H.mu_profile(big, p).mu_max, factors, 1200, stream(71, 8))
     assert 0.0 < fracs[2] < fracs[1] < fracs[0] == 1.0
     assert fracs == reference_tails(big, 6, p, factors, 1200, stream(71, 8))

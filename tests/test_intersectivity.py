@@ -1,6 +1,7 @@
 """Exact decider, heuristic search, and the sampling layer."""
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from aplab import _kernels, intersectivity
@@ -263,7 +264,7 @@ def test_minimal_forbidden_sets():
 
 
 def test_minimal_forbidden_sets_match_superset_scan():
-    """Same list in the same order: edge indices and the decider's order depend on it.
+    """Same list in the same order: edge indices and the decider's packing depend on it.
 
     N = 61, 64, 127 and 128 lie above the default exact limit, where the
     heuristic search runs; at even N, N/2 in D makes translates of one
@@ -277,6 +278,24 @@ def test_minimal_forbidden_sets_match_superset_scan():
                 entries = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist() + extra
                 seq = DifferenceSequence(Group(n), tuple(entries))
                 assert minimal_forbidden_sets(seq, k) == plain_forbidden_sets(seq, k), entries
+
+
+def test_minimal_forbidden_sets_give_every_vertex_one_degree():
+    """Every vertex lies in equally many minimal forbidden sets.
+
+    The sets are closed under translation, so the degree does not depend
+    on the vertex; ``exact_free_set`` scans the vertices in plain order
+    and its vertex-0 rule relies on this invariance.
+    """
+    rng = stream(41, 5)
+    for n in range(1, 70):
+        specials = [0] + [n // j for j in (2, 3) if n % j == 0]
+        for k in range(1, 6):
+            for extra in [[], [], specials]:
+                entries = rng.integers(0, n, size=int(rng.integers(1, 5))).tolist() + extra
+                sets = minimal_forbidden_sets(DifferenceSequence(Group(n), tuple(entries)), k)
+                degrees = np.bincount([v for s in sets for v in s], minlength=n)
+                assert degrees.min() == degrees.max(), (n, k, entries)
 
 
 def test_heuristic_returns_free_set():

@@ -9,7 +9,7 @@ import numpy as np
 
 from aplab import _kernels as K
 from aplab import norms
-from aplab.counting import DifferenceSequence
+from aplab.counting import DifferenceSequence, RationalCount, SubsetMask, ap_average_all
 from aplab.groups import Group
 from aplab.intersectivity import minimal_forbidden_sets
 from aplab.rng import stream
@@ -26,9 +26,16 @@ def random_terms(rng, nvert, nterms):
     return coefs, masks
 
 
-def to_kernel_args(coefs, masks):
+def to_kernel_args(coefs, masks, nvert, signed):
+    """Bitmasks and value rows of ``cube_enum_kernel`` for one of the two cubes.
+
+    Row t, indexed by the number j of t's vertices a code sets, is
+    c_t * (-1)^j on the {-1,+1} cube and c_t * [j = |t|] on the {0,1} cube.
+    """
     bitmasks = [sum(1 << v for v in vs) for vs in masks]
-    return np.array(coefs, dtype=np.int64), np.array(bitmasks, dtype=np.uint64)
+    table = [[c * (-1) ** j if signed else c * (j == len(vs)) for j in range(nvert + 1)]
+             for c, vs in zip(coefs, masks)]
+    return np.array(bitmasks, dtype=np.uint64), np.array(table, dtype=np.int64)
 
 
 def brute_pm(base, coefs, masks, nvert):
@@ -195,12 +202,14 @@ def test_pm_enumeration_matches_brute_force():
         coefs, masks = random_terms(rng, nvert, int(rng.integers(1, 7)))
         base = int(rng.integers(-3, 4))
         want = brute_pm(base, coefs, masks, nvert)
-        got, mask = K.pm_enum_kernel(nvert, base, *to_kernel_args(coefs, masks))
+        got, mask = K.cube_enum_kernel(nvert, base, *to_kernel_args(coefs, masks, nvert, True))
         assert got == want
         signs = [-1 if (int(mask) >> v) & 1 else 1 for v in range(nvert)]
         tot = base + sum(c * int(np.prod([signs[v] for v in vs]))
                          for c, vs in zip(coefs, masks))
         assert abs(tot) == want
+    # 17 vertices span two chunks of codes, and ties go to the first code
+    assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, True)) == (3, 0)
 
 
 def test_01_enumeration_matches_brute_force():
@@ -210,12 +219,13 @@ def test_01_enumeration_matches_brute_force():
         coefs, masks = random_terms(rng, nvert, int(rng.integers(1, 7)))
         base = int(rng.integers(-3, 4))
         want = brute_01(base, coefs, masks, nvert)
-        got, mask = K.z01_enum_kernel(nvert, base, *to_kernel_args(coefs, masks))
+        got, mask = K.cube_enum_kernel(nvert, base, *to_kernel_args(coefs, masks, nvert, False))
         assert got == want
         bits = [(int(mask) >> v) & 1 for v in range(nvert)]
         tot = base + sum(c for c, vs in zip(coefs, masks)
                          if all(bits[v] for v in vs))
         assert abs(tot) == want
+    assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, False)) == (3, 1)
 
 
 def brute_infone(mat):
@@ -270,14 +280,14 @@ def test_ap_count_kernel_paths_agree():
 
 
 def test_all_diffs_kernel_paths_agree():
-    """``all_diffs_count_kernel`` and the brute-force path agree."""
+    """``ap_average_all`` and the brute-force count over every difference agree."""
     rng = stream(31, 4)
     for _ in range(20):
         n = int(rng.integers(2, 16))
         member = (rng.random(n) < 0.6).astype(np.uint8)
         k = int(rng.integers(2, 5))
         want = sum(brute_ap_count(member, d, k) for d in range(n))
-        assert K.all_diffs_count_kernel(member, k) == want
+        assert ap_average_all(SubsetMask(Group(n), member), k) == RationalCount(want, n * n)
 
 
 def test_poly_eval_kernel_paths_agree():
