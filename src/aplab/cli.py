@@ -5,6 +5,10 @@ results, assertions, version), prints it to stdout as JSON or CSV, and
 appends it with a wall-time field to the run ledger.  Payloads are
 deterministic for a fixed (command, config, seed); wall time lives only
 in the ledger copy.  Exit codes: 0 success, 1 failed assertion, 2 usage.
+
+Every command runs in a fresh interpreter, where start-up is a large
+share of a short run, so the module level holds only what every
+subcommand uses; each handler imports the other layers it calls.
 """
 from __future__ import annotations
 
@@ -15,10 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import discrepancy, embedding, hyperpoly, intersectivity, norms
 from .counting import DifferenceSequence
 from .groups import (MAX_PROGRESSION_LENGTH, ApParams, Group, as_density,
-                     density_target)
+                     default_block_size, density_target)
 from .records import VERSION, append_ledger, dumps_record, record_to_csv
 from .rng import spawn_signs, stream
 
@@ -54,6 +57,7 @@ def _finish(payload: dict, args, started: float) -> int:
 
 
 def cmd_critical_size(args) -> int:
+    from . import intersectivity
     started = time.monotonic()
     group = Group(args.modulus)
     params = ApParams(args.k, as_density(args.epsilon))
@@ -74,6 +78,7 @@ def cmd_critical_size(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import intersectivity
     started = time.monotonic()
     group = Group(args.modulus)
     params = ApParams(args.k, as_density(args.epsilon))
@@ -96,6 +101,7 @@ def cmd_check(args) -> int:
 
 
 def _verify_embedding_identity(payload, seed, inject_fault: bool):
+    from . import discrepancy, embedding
     group = Group(11)
     s, r = 2, 1
     rng = stream(seed, 10)
@@ -126,6 +132,7 @@ def _verify_embedding_identity(payload, seed, inject_fault: bool):
 
 
 def _verify_cauchy_schwarz(payload, seed):
+    from . import discrepancy
     rng = stream(seed, 12)
     for rep in range(50):
         n = int(rng.integers(5, 13))
@@ -144,6 +151,7 @@ def _verify_cauchy_schwarz(payload, seed):
 
 
 def _verify_dominance(payload, seed):
+    from . import discrepancy
     rng = stream(seed, 13)
     for rep in range(20):
         n = int(rng.integers(5, 11))
@@ -159,6 +167,7 @@ def _verify_dominance(payload, seed):
 
 
 def _verify_norm_chain(payload, seed):
+    from . import norms
     rng = stream(seed, 14)
     for rep in range(20):
         d = int(rng.integers(2, 13))
@@ -176,6 +185,7 @@ def _verify_norm_chain(payload, seed):
 
 
 def _verify_chain(payload, seed):
+    from . import discrepancy, embedding
     group = Group(7)
     params = ApParams(3)
     rng = stream(seed, 15)
@@ -206,6 +216,7 @@ def _verify_chain(payload, seed):
 
 
 def _verify_symmetrization(payload):
+    from . import discrepancy
     for n, m in ((5, 1), (5, 2)):
         lhs, rhs = discrepancy.symmetrization_sides(Group(n), m, 3)
         if lhs > rhs:
@@ -216,6 +227,7 @@ def _verify_symmetrization(payload):
 
 
 def cmd_verify(args) -> int:
+    from . import discrepancy, embedding
     started = time.monotonic()
     payload = _payload("verify", {
         "collision_slack": discrepancy.COLLISION_SLACK,
@@ -233,6 +245,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_khintchine(args) -> int:
+    from . import norms
     started = time.monotonic()
     payload = _payload("khintchine", {
         "dim": args.dim, "count": args.count, "trials": args.trials,
@@ -257,12 +270,13 @@ def _kimvu_sizes(args) -> tuple[int, int, int]:
     r = ApParams(args.k).r
     # default block size keeps the set-side average away from the trivial
     # zero case (t must exceed the largest edge minus one)
-    s = args.s if args.s is not None else max(4 * r, embedding.default_block_size(args.modulus, args.k))
+    s = args.s if args.s is not None else max(4 * r, default_block_size(args.modulus, args.k))
     t = args.t if args.t is not None else max(2 * r, s // 2)
     return r, s, t
 
 
 def cmd_kimvu(args) -> int:
+    from . import hyperpoly
     started = time.monotonic()
     n = args.modulus
     group = Group(n)
@@ -317,6 +331,7 @@ def cmd_kimvu(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    from . import embedding, norms
     started = time.monotonic()
     payload = _payload("norms", {"demo": args.demo, "dim": args.dim}, args.seed)
     if args.demo == "identity":
@@ -430,6 +445,8 @@ def _validate(args) -> str | None:
         return f"k must lie in [2, {MAX_PROGRESSION_LENGTH}]"
     if getattr(args, "dim", 1) < 1:
         return "dim must be positive"
+    if args.command == "khintchine" and args.dim < 2:
+        return "khintchine needs dim at least 2 (its bound has a log d factor)"
     if getattr(args, "count", 1) < 1:
         return "count must be positive"
     if getattr(args, "m", 1) < 1:

@@ -277,19 +277,6 @@ def aggregate_pair_embeddings(seq: DifferenceSequence, i: int, tau, right, s: in
     return acc.scale_add(pieces)
 
 
-def default_block_size(n: int, k: int) -> int:
-    """floor(N^(1 - 2/k)) computed exactly via an integer k-th root."""
-    if k < 3:
-        raise ValueError("block size defined for k >= 3")
-    target = n ** (k - 2)
-    s = max(1, round(target ** (1.0 / k)))
-    while s ** k > target:
-        s -= 1
-    while (s + 1) ** k <= target:
-        s += 1
-    return max(s, 1)
-
-
 def default_prune_threshold(n: int, k: int, m: int) -> float:
     """Row-weight cutoff (log N)^k * m / N^(1 - 2/k)."""
     if n < 2:

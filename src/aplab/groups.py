@@ -1,4 +1,4 @@
-"""Modular arithmetic over Z/N and step-window supports."""
+"""Modular arithmetic over Z/N, step-window supports and the block size."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -67,6 +67,19 @@ class ApParams:
 def density_target(group: Group, params: ApParams) -> int:
     """Smallest admissible set size, ceil(epsilon * N), computed exactly."""
     return ceil(params.epsilon * group.modulus)
+
+
+def default_block_size(n: int, k: int) -> int:
+    """floor(N^(1 - 2/k)) computed exactly via an integer k-th root."""
+    if k < 3:
+        raise ValueError("block size defined for k >= 3")
+    target = n ** (k - 2)
+    s = max(1, round(target ** (1.0 / k)))
+    while s ** k > target:
+        s -= 1
+    while (s + 1) ** k <= target:
+        s += 1
+    return max(s, 1)
 
 
 def pair_support(group: Group, x: int, d_i: int, d_j: int, r: int) -> set[int]:

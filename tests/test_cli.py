@@ -181,7 +181,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["kimvu", "--k", "4"],
                  ["critical-size", "--modulus", "5", "--k", "21"],
                  ["kimvu", "--s", "1"],
-                 ["kimvu", "--prob", "0.3"]):
+                 ["kimvu", "--prob", "0.3"],
+                 ["khintchine", "--dim", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
@@ -189,6 +190,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert captured.err.strip(), argv
         assert captured.out == "", argv
     assert not (tmp_path / "runs.ledger").exists()
+
+
+def test_norms_accepts_dim_one(capsys, tmp_path):
+    """Only khintchine needs d >= 2; a 1 x 1 norm report is well defined."""
+    code, out = run_cli(capsys, tmp_path, "norms", "--dim", "1")
+    assert code == 0
+    assert json.loads(out)["results"]["dim"] == 1
 
 
 def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
@@ -247,6 +255,20 @@ def test_seeds_change_draws(capsys, tmp_path):
     assert json.loads(a)["results"] != json.loads(b)["results"]
 
 
+def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
+    ledger = str(tmp_path / "runs.ledger")
+    script = ("import json, sys\n"
+              "import aplab.cli\n"
+              f"code = aplab.cli.main({argv + ['--out', ledger]!r})\n"
+              "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    code, loaded = json.loads(done.stderr.splitlines()[-1])
+    return code, set(loaded)
+
+
 def test_verify_never_imports_scipy(tmp_path):
     """A fresh interpreter runs ``verify`` without loading any scipy module.
 
@@ -254,13 +276,24 @@ def test_verify_never_imports_scipy(tmp_path):
     matrices; importing scipy.sparse takes about as long as a short
     workload run.
     """
-    ledger = str(tmp_path / "runs.ledger")
-    script = ("import sys\n"
-              "import aplab.cli\n"
-              f"code = aplab.cli.main(['verify', '--seed', '0', '--out', {ledger!r}])\n"
-              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-              "print(code, loaded, file=sys.stderr)\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert done.stderr.splitlines()[-1] == "0 []"
+    code, loaded = modules_after_main(tmp_path, ["verify", "--seed", "0"])
+    assert code == 0
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    (["critical-size", "--modulus", "7", "--trials", "5"], "intersectivity",
+     ("discrepancy", "embedding", "hyperpoly", "norms")),
+    (["check", "--modulus", "7", "--differences", "1,2"], "intersectivity",
+     ("discrepancy", "embedding", "hyperpoly", "norms")),
+    (["khintchine", "--dim", "4", "--count", "2", "--trials", "5"], "norms",
+     ("intersectivity", "discrepancy", "embedding", "hyperpoly")),
+    (["kimvu", "--trials", "50"], "hyperpoly",
+     ("intersectivity", "embedding", "norms")),
+])
+def test_subcommands_load_only_their_layers(tmp_path, argv, used, unused):
+    """Start-up is a large share of a short run, so a command loads no layer it never calls."""
+    code, loaded = modules_after_main(tmp_path, argv)
+    assert code == 0
+    assert f"aplab.{used}" in loaded
+    assert sorted(loaded & {f"aplab.{name}" for name in unused}) == []

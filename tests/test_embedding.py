@@ -9,7 +9,7 @@ from aplab import embedding as E
 from aplab import norms
 from aplab.counting import DifferenceSequence
 from aplab.discrepancy import IndexPartition, is_good_pair
-from aplab.groups import Group
+from aplab.groups import Group, default_block_size
 from aplab.rng import spawn_signs, stream
 
 
@@ -143,7 +143,7 @@ def test_dimension_cap():
 
 
 def test_default_thresholds():
-    assert E.default_block_size(27, 3) == 3  # cube root of 27
+    assert default_block_size(27, 3) == 3  # cube root of 27
     thr = E.default_prune_threshold(11, 3, 4)
     assert thr == pytest.approx((np.log(11) ** 3) * 4 / 11 ** (1 / 3))
 

@@ -1,7 +1,16 @@
-"""Every module-level import in the package and the tests is used, and
-every name the package defines is referenced somewhere."""
+"""Every module-level import in the package and the tests is used, every
+name the package defines is referenced somewhere, and importing the
+package loads none of its modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import aplab
+from aplab import records
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "aplab").glob("*.py"))
@@ -101,3 +110,31 @@ def test_every_package_name_is_referenced():
         if unused:
             dead[path.name] = unused
     assert not dead, dead
+
+
+def test_import_aplab_loads_nothing():
+    """A fresh ``import aplab`` loads no package module and no numpy."""
+    script = ("import sys\n"
+              "import aplab\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] in ('aplab', 'numpy')), file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert done.stderr.splitlines()[-1] == "['aplab']"
+
+
+def test_package_names_resolve_to_their_home_objects():
+    for name in aplab.__all__:
+        obj = getattr(aplab, name)
+        home = records if name == "VERSION" else sys.modules[obj.__module__]
+        assert home.__name__.startswith("aplab."), name
+        assert getattr(home, name) is obj, name
+
+
+def test_package_version_dir_and_unknown_names():
+    assert aplab.__version__ == records.VERSION
+    assert set(aplab.__all__) <= set(dir(aplab))
+    with pytest.raises(AttributeError):
+        aplab.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from aplab import no_such_name  # noqa: F401

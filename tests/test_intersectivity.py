@@ -1,5 +1,6 @@
 """Exact decider, heuristic search, and the sampling layer."""
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -378,6 +379,13 @@ def test_wilson_interval():
     assert wilson_interval(10, 10)[1] == 1.0
     with pytest.raises(ValueError):
         wilson_interval(5, 0)
+
+
+def test_wilson_z_is_the_normal_quantile():
+    """The stored z is the quantile at CONFIDENCE bit for bit, so no interval moves."""
+    z = NormalDist().inv_cdf(0.5 + intersectivity.CONFIDENCE / 2)
+    assert intersectivity.WILSON_Z == z
+    assert intersectivity.WILSON_Z.hex() == z.hex()
 
 
 def test_run_trials_scheduling_independent():
