@@ -9,13 +9,23 @@ in the ledger copy.  Exit codes: 0 success, 1 failed assertion, 2 usage.
 Every command runs in a fresh interpreter, where start-up is a large
 share of a short run, so the module level holds only what every
 subcommand uses; each handler imports the other layers it calls.
+
+BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``:
+an idle OpenBLAS pool spins on every core for no work in a short run,
+and its size moves the last bits of dense spectral norms.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
+
+# OpenBLAS reads this only when numpy loads; a process that loaded numpy
+# first keeps its own policy, and its children inherit nothing new.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

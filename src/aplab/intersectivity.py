@@ -193,7 +193,7 @@ def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
     edge_ptr, edge_vtx, v_ptr, v_edges = _kernels.csr_incidence(edges, n)
     sizes = np.diff(edge_ptr)
     restarts, passes = HEURISTIC_RESTARTS_DEFAULT, HEURISTIC_PASSES_DEFAULT
-    perms = np.stack([rng.permutation(n) for _ in range(restarts)]).astype(np.int64)
+    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (restarts, 1)), axis=1)
     removals = rng.integers(0, n, size=(restarts, passes), dtype=np.int64)
     best_size, best_mask = _kernels.apfree_search_kernel(
         n, target, edge_ptr, edge_vtx, sizes, v_ptr, v_edges, perms, removals)

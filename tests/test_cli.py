@@ -255,6 +255,15 @@ def test_seeds_change_draws(capsys, tmp_path):
     assert json.loads(a)["results"] != json.loads(b)["results"]
 
 
+def fresh_interpreter(args, **env) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on this checkout, with no BLAS thread setting unless given."""
+    base = {name: value for name, value in os.environ.items()
+            if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(base, PYTHONPATH=str(src), **env), check=True)
+
+
 def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:
     """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
     ledger = str(tmp_path / "runs.ledger")
@@ -262,10 +271,7 @@ def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:
               "import aplab.cli\n"
               f"code = aplab.cli.main({argv + ['--out', ledger]!r})\n"
               "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    code, loaded = json.loads(done.stderr.splitlines()[-1])
+    code, loaded = json.loads(fresh_interpreter(["-c", script]).stderr.splitlines()[-1])
     return code, set(loaded)
 
 
@@ -297,3 +303,32 @@ def test_subcommands_load_only_their_layers(tmp_path, argv, used, unused):
     assert code == 0
     assert f"aplab.{used}" in loaded
     assert sorted(loaded & {f"aplab.{name}" for name in unused}) == []
+
+
+needs_thread_count = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts threads in /proc/self/task, and OpenBLAS starts no pool on one core")
+
+
+@needs_thread_count
+@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_cli_runs_blas_on_one_thread_unless_the_caller_says(env, threads):
+    """Importing the CLI starts no idle BLAS pool; the caller's OpenBLAS setting wins."""
+    script = "import os, aplab.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+    assert int(fresh_interpreter(["-c", script], **env).stdout) == threads
+
+
+def test_cli_leaves_the_env_alone_once_numpy_is_loaded():
+    """A library process keeps its own BLAS policy, and its children do too."""
+    script = ("import os, numpy, aplab.cli\n"
+              "print('OPENBLAS_NUM_THREADS' in os.environ)\n")
+    assert fresh_interpreter(["-c", script]).stdout == "False\n"
+
+
+def test_norms_stdout_does_not_depend_on_blas_threads(tmp_path):
+    """A dense spectral norm at dimension 300 is byte-stable across hosts' core counts."""
+    args = ["-m", "aplab.cli", "norms", "--demo", "random", "--dim", "300", "--seed", "3",
+            "--out", str(tmp_path / "runs.ledger")]
+    default = fresh_interpreter(args).stdout
+    assert '"spectral":' in default
+    assert default == fresh_interpreter(args, OPENBLAS_NUM_THREADS="1").stdout

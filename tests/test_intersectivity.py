@@ -321,6 +321,32 @@ def test_heuristic_finds_known_maximum():
     assert size == SubsetMask(g, mem).cardinality == 4
 
 
+def test_heuristic_orders_match_per_row_permutations(monkeypatch):
+    """The batched restart orders are the draws of one ``permutation`` per row.
+
+    Pinned outputs rest on these draws, so a numpy release that changed
+    ``permuted`` against ``permutation`` must fail here first.
+    """
+    drawn = []
+
+    def capture(n, target, edge_ptr, edge_vtx, sizes, v_ptr, v_edges, perms, removals):
+        drawn.append((perms, removals))
+        return 0, np.zeros(n, dtype=np.uint8)
+
+    monkeypatch.setattr(_kernels, "apfree_search_kernel", capture)
+    restarts = intersectivity.HEURISTIC_RESTARTS_DEFAULT
+    passes = intersectivity.HEURISTIC_PASSES_DEFAULT
+    for seed, n in [(1012, 17), (1013, 31), (7919, 61), (3, 127)]:
+        seq = DifferenceSequence(Group(n), (1, 3))
+        _heuristic_free_set(seq, 2, n + 1, stream(seed, 5, n))
+        ref = stream(seed, 5, n)
+        want = np.stack([ref.permutation(n) for _ in range(restarts)])
+        perms, removals = drawn.pop()
+        assert perms.dtype == np.int64 and perms.shape == (restarts, n)
+        assert np.array_equal(perms, want)
+        assert np.array_equal(removals, ref.integers(0, n, size=(restarts, passes)))
+
+
 def test_trial_agreement_with_exact(monkeypatch):
     """Within the exact limit trial is exact; the heuristic branch is one-sided."""
     g = Group(9)
