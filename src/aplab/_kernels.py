@@ -25,7 +25,14 @@ USE_NUMBA = False
 # at call time.
 ENUM_LIMIT = 24
 
-_CHUNK_BITS = 16
+# The inf->1 scan indexes its signed-row-sum table by the low
+# ``_TABLE_BITS`` bits of a code, and both enumerations hold at most
+# ``_BATCH_ELEMS`` codes per vectorized step, so their working set stays
+# under 2 MiB at ``ENUM_LIMIT``.  Both were chosen by timing d = 17..24:
+# fewer table bits or smaller batches were slower, and larger ones grow
+# the working set for little or no gain.
+_TABLE_BITS = 12
+_BATCH_ELEMS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +78,21 @@ def ap_count_kernel(mem, d, k):
 # ---------------------------------------------------------------------------
 # exact enumeration over all 2**nvert assignments
 #
-# Assignments are scanned in chunks of consecutive codes; a set bit in a
-# reported mask means that vertex carries -1 (over {-1,+1}) or 1 (over
-# {0,1}).  Terms arrive as vertex bitmasks plus one value row each,
-# indexed by how many of the term's vertices a code sets, so one kernel
-# serves both cubes.  Each kernel reports the first maximizing code, and
-# ``bit_vector`` decodes it.
+# Assignments are scanned in chunks of at most ``_BATCH_ELEMS``
+# consecutive codes; a set bit in a reported mask means that vertex
+# carries -1 (over {-1,+1}) or 1 (over {0,1}).  Terms arrive as vertex
+# bitmasks plus one value row each, indexed by how many of the term's
+# vertices a code sets, so one kernel serves both cubes.  Each kernel
+# reports the first maximizing code, and ``bit_vector`` decodes it.
 #
 # The inf->1 scan uses the sign symmetry ||M^T u||_1 = ||M^T (-u)||_1 to
 # visit only the codes with the top bit clear, and needs no matrix
-# product per chunk: the signed sums of the rows under the low bits form
-# a table built once, and each chunk of codes sharing the high bits
-# shifts every table column by one constant.  On integer-valued input
-# these sums are exact, so the result equals the full 2**d scan.
+# product per chunk: the signed sums of the rows under the low
+# ``_TABLE_BITS`` bits form a table built once (d x 4096 float64, about
+# 0.8 MB at ``ENUM_LIMIT``), and each block of codes sharing the high
+# bits shifts every table column by one constant.  A batch stacks
+# consecutive blocks up to ``_BATCH_ELEMS`` codes.  On integer-valued
+# input these sums are exact, so the result equals the full 2**d scan.
 
 
 def cube_enum_kernel(nvert, base, term_masks, term_table):
@@ -97,9 +106,8 @@ def cube_enum_kernel(nvert, base, term_masks, term_table):
     best = np.int64(-1)
     best_mask = 0
     total = 1 << nvert
-    chunk = 1 << min(nvert, _CHUNK_BITS)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, start + chunk, dtype=np.uint64)
+    for start in range(0, total, _BATCH_ELEMS):
+        codes = np.arange(start, min(start + _BATCH_ELEMS, total), dtype=np.uint64)
         acc = np.full(codes.shape[0], base, dtype=np.int64)
         for mask, row in zip(term_masks, term_table):
             acc += row[np.bitwise_count(codes & mask)]
@@ -127,32 +135,38 @@ def infone_enum_kernel(mat):
     Returns the first maximizing code.  Since ||M^T u||_1 = ||M^T (-u)||_1
     and complementing a code with bit d-1 set gives a smaller one, that
     code has u_{d-1} = +1, so only the 2**(d-1) codes below 2**(d-1) are
-    scanned.  Their low ``_CHUNK_BITS`` bits index a table P of signed
-    row sums of M built once; each block of codes sharing its high bits
-    adds one offset row q and takes sum_j |P[j] + q_j| column by column.
+    scanned.  Their low ``_TABLE_BITS`` bits index a table P of signed
+    row sums of M built once; the codes sharing their high bits form a
+    block with one offset row q.  Batches of consecutive blocks, at most
+    ``_BATCH_ELEMS`` codes each, take sum_j |P[j] + q[:, j]| by
+    broadcasting, one row per block, so the batch in row-major order is
+    in code order and its flat argmax is the first maximizer in it.
     For integer-valued M with entry mass sum |M_ij| below 2**53 every
     partial sum is an exact integer, so the value and the mask are exact;
     other input gets the maximum up to float rounding.
     """
     d = mat.shape[0]
-    low = min(d - 1, _CHUNK_BITS)
+    low = min(d - 1, _TABLE_BITS)
     table = _signed_row_sums(mat[:low])
     offsets = (_signed_row_sums(mat[low:d - 1]) + mat[d - 1][:, None]).T
-    vals = np.empty(table.shape[1])
-    term = np.empty(table.shape[1])
+    rows = min(len(offsets), max(1, _BATCH_ELEMS >> low))
+    vals = np.empty((rows, table.shape[1]))
+    term = np.empty_like(vals)
     best = -1.0
     best_mask = 0
-    for high, q in enumerate(offsets):
-        np.add(table[0], q[0], out=vals)
-        np.abs(vals, out=vals)
-        for col, qj in zip(table[1:], q[1:]):
-            np.add(col, qj, out=term)
-            np.abs(term, out=term)
-            vals += term
-        pos = int(np.argmax(vals))
-        if vals[pos] > best:
-            best = float(vals[pos])
-            best_mask = (high << low) | pos
+    for first in range(0, len(offsets), rows):
+        q = offsets[first:first + rows]
+        v, t = vals[:len(q)], term[:len(q)]
+        np.add(table[0], q[:, :1], out=v)
+        np.abs(v, out=v)
+        for j in range(1, len(table)):
+            np.add(table[j], q[:, j:j + 1], out=t)
+            np.abs(t, out=t)
+            v += t
+        pos = int(np.argmax(v))
+        if v.flat[pos] > best:
+            best = float(v.flat[pos])
+            best_mask = (first << low) + pos
     return best, best_mask
 
 

@@ -2,9 +2,10 @@
 
 Each subcommand builds a structured payload (command, params, seed,
 results, assertions, version), prints it to stdout as JSON or CSV, and
-appends it with a wall-time field to the run ledger.  Payloads are
-deterministic for a fixed (command, config, seed); wall time lives only
-in the ledger copy.  Exit codes: 0 success, 1 failed assertion, 2 usage.
+appends it with wall-time and peak-RSS fields to the run ledger.
+Payloads are deterministic for a fixed (command, config, seed); wall
+time and peak RSS live only in the ledger copy.  Exit codes: 0 success,
+1 failed assertion, 2 usage.
 
 Every command runs in a fresh interpreter, where start-up is a large
 share of a short run, so the module level holds only what every
@@ -53,11 +54,14 @@ def _difference_list(text: str) -> tuple[int, ...]:
 
 
 def _finish(payload: dict, args, started: float) -> int:
+    import resource
     text = (record_to_csv(payload) if args.format == "csv"
             else dumps_record(payload) + "\n")
     sys.stdout.write(text)
     ledger_rec = dict(payload)
     ledger_rec["wall_time_s"] = time.monotonic() - started
+    # ru_maxrss is in KiB on Linux; MB here means MiB, as perfbench reports it
+    ledger_rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     append_ledger(args.out, ledger_rec)
     return 0 if all(a["pass"] for a in payload["assertions"]) else 1
 

@@ -209,6 +209,15 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
     return pm_best >= zo_best
 
 
+def _progression_counts(n: int, k: int) -> np.ndarray:
+    """counts[d, mask]: starts x with x, x+d, ..., x+(k-1)d all in the subset mask."""
+    inside = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    starts = np.arange(n)[:, None]
+    steps = np.arange(k)
+    return np.stack([inside[:, (starts + d * steps) % n].all(axis=2).sum(axis=1)
+                     for d in range(n)])
+
+
 def symmetrization_sides(group: Group, m: int, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the symmetrization inequality, exactly.
 
@@ -218,46 +227,31 @@ def symmetrization_sides(group: Group, m: int, k: int) -> tuple[Fraction, Fracti
     Full enumeration of sequences, signs, and subsets; feasible only for
     tiny N and m.  Replacing a mean of independent terms by a random-sign
     average can only double the expected maximum, so left <= right.
-    """
-    from itertools import product
 
+    Sequences are taken in blocks of consecutive indices, each a stack
+    of rows counts[d_i] summed in int64.  Signs s and -s give the same
+    maximum, so only the sign vectors with s_{m-1} = +1 are formed and
+    their total is doubled.
+    """
     n = group.modulus
     if n > 12 or n ** m > 200000:
         raise ValueError("full enumeration limited to tiny N and m")
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
-    # counts[d][mask] = number of starts x with the whole progression in A
-    counts = [[0] * (1 << n) for _ in range(n)]
-    for d in range(n):
-        for mask in range(1 << n):
-            c = 0
-            for x in range(n):
-                ok = True
-                for step in range(k):
-                    if not (mask >> ((x + step * d) % n)) & 1:
-                        ok = False
-                        break
-                c += ok
-            counts[d][mask] = c
-    group_counts = [sum(counts[d][mask] for d in range(n))
-                    for mask in range(1 << n)]
+    counts = _progression_counts(n, k)
+    group_counts = counts.sum(axis=0)
+    signs = 1 - 2 * ((np.arange(1 << (m - 1))[:, None] >> np.arange(m)) & 1)
+    total = n ** m
+    block = max(1, (1 << 18) >> (m - 1 + n))  # sequences per block, ~2 MB of signed sums
     lhs_num = 0  # per-D max has denominator m * n^2
     rhs_num = 0  # per-(D, signs) max has denominator m * n
-    for seq in product(range(n), repeat=m):
-        best = 0
-        for mask in range(1 << n):
-            gap = abs(n * sum(counts[d][mask] for d in seq)
-                      - m * group_counts[mask])
-            if gap > best:
-                best = gap
-        lhs_num += best
-        for signs in product((1, -1), repeat=m):
-            best = 0
-            for mask in range(1 << n):
-                val = abs(sum(s * counts[d][mask] for s, d in zip(signs, seq)))
-                if val > best:
-                    best = val
-            rhs_num += best
+    for lo in range(0, total, block):
+        seqs = np.stack(np.unravel_index(np.arange(lo, min(lo + block, total)), (n,) * m),
+                        axis=1)
+        rows = counts[seqs]  # (sequences, m, 2^n)
+        gaps = np.abs(n * rows.sum(axis=1) - m * group_counts)
+        lhs_num += int(gaps.max(axis=1).sum())
+        rhs_num += 2 * int(np.abs(signs @ rows).max(axis=2).sum())
     lhs = Fraction(lhs_num, n ** m * m * n * n)
     rhs = 2 * Fraction(rhs_num, n ** m * (1 << m) * m * n)
     return lhs, rhs

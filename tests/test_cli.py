@@ -36,13 +36,15 @@ def test_critical_size_payload(capsys, tmp_path):
 
 
 def test_ledger_carries_wall_time(capsys, tmp_path):
-    run_cli(capsys, tmp_path, "norms", "--demo", "identity", "--dim", "4")
+    _, out = run_cli(capsys, tmp_path, "norms", "--demo", "identity", "--dim", "4")
     rows = list(iter_ledger(str(tmp_path / "runs.ledger")))
     assert len(rows) == 1
     assert rows[0]["wall_time_s"] >= 0.0
+    assert rows[0]["peak_rss_mb"] > 0.0
     assert "command" in rows[0]
-    # stdout stays free of timing so repeated runs compare byte-equal
-    assert "wall_time_s" not in capsys.readouterr().out
+    # stdout stays free of timing and memory so repeated runs compare byte-equal
+    assert "wall_time_s" not in out
+    assert "peak_rss_mb" not in out
 
 
 def test_check_known_cases(capsys, tmp_path):

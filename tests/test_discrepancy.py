@@ -193,6 +193,36 @@ def test_symmetrization_sides_match_brute_force():
         assert lhs <= rhs
 
 
+def reference_symmetrization_sides(n, m, k):
+    """Both sides as four nested Python loops over d, masks, starts and steps."""
+    counts = [[sum(all((mask >> ((x + step * d) % n)) & 1 for step in range(k))
+                   for x in range(n))
+               for mask in range(1 << n)]
+              for d in range(n)]
+    group_counts = [sum(counts[d][mask] for d in range(n)) for mask in range(1 << n)]
+    lhs_num = rhs_num = 0
+    for seq in product(range(n), repeat=m):
+        lhs_num += max(abs(n * sum(counts[d][mask] for d in seq) - m * group_counts[mask])
+                       for mask in range(1 << n))
+        for signs in product((1, -1), repeat=m):
+            rhs_num += max(abs(sum(s * counts[d][mask] for s, d in zip(signs, seq)))
+                           for mask in range(1 << n))
+    return (Fraction(lhs_num, n ** m * m * n * n),
+            2 * Fraction(rhs_num, n ** m * 2 ** m * m * n))
+
+
+def test_symmetrization_sides_match_reference_loops():
+    for n, m in ((5, 1), (5, 2), (6, 2), (7, 2)):
+        for k in (2, 3):
+            got = D.symmetrization_sides(Group(n), m, k)
+            assert all(isinstance(side, Fraction) for side in got)
+            assert got == reference_symmetrization_sides(n, m, k), (n, m, k)
+    with pytest.raises(ValueError):
+        D.symmetrization_sides(Group(13), 1, 3)
+    with pytest.raises(ValueError):
+        D.symmetrization_sides(Group(12), 5, 3)
+
+
 def test_collision_and_multiplicity():
     g = Group(11)
     seq = DifferenceSequence(g, (1, 3, 5, 7))

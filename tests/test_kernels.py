@@ -3,6 +3,7 @@
 Witness vectors are not unique when several assignments tie, so the
 enumeration tests check that the reported witness attains the value.
 """
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -208,8 +209,14 @@ def test_pm_enumeration_matches_brute_force():
         tot = base + sum(c * int(np.prod([signs[v] for v in vs]))
                          for c, vs in zip(coefs, masks))
         assert abs(tot) == want
-    # 17 vertices span two chunks of codes, and ties go to the first code
+    # 17 vertices span several chunks of codes, and ties go to the first code
     assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, True)) == (3, 0)
+    # 1 - (-1)^j3 - (-1)^j_top is 3 only with bits 3 and top set, past the first chunk
+    for nvert in (16, 17, 20):
+        assert 1 << nvert > K._BATCH_ELEMS
+        top = nvert - 1
+        assert K.cube_enum_kernel(nvert, 1, *to_kernel_args([-1, -1], [[3], [top]], nvert, True)) \
+            == (3, 8 + (1 << top))
 
 
 def test_01_enumeration_matches_brute_force():
@@ -226,6 +233,11 @@ def test_01_enumeration_matches_brute_force():
                          if all(bits[v] for v in vs))
         assert abs(tot) == want
     assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, False)) == (3, 1)
+    # 2 + [bits 3 and top set] is 3 only there
+    for nvert in (16, 17, 20):
+        top = nvert - 1
+        assert K.cube_enum_kernel(nvert, 2, *to_kernel_args([1], [[3, top]], nvert, False)) \
+            == (3, 8 + (1 << top))
 
 
 def brute_infone(mat):
@@ -246,13 +258,17 @@ def brute_infone(mat):
 def test_infone_enumeration_matches_brute_force():
     """Value and first maximizing code, on random and tie-heavy matrices.
 
-    Dimensions 17 and 18 put bits above the kernel's low-bit table.  The
-    last case is the rank-one v v^T at the enumeration limit, whose value
-    is ||v||_1^2 and whose only maximizers are +/- sign(v).
+    Dimensions 12 to 19 straddle the kernel's edges: up to 13 every
+    scanned bit indexes the 12-bit table, 14 and 16 add high blocks that
+    fill one batch partly or exactly, and 17 to 19 need several batches.
+    The rank-one v v^T has value ||v||_1^2 and maximizers +/- sign(v) on
+    the support of v: at the enumeration limit, and at dimension 19 with v
+    zero on six low entries (64 ties) and negative on entries 15 to 17
+    with v_18 > 0, so every tie with u_18 = +1 lies in the last batch.
     """
     rng = stream(31, 2)
     mats = [rng.integers(-3, 4, size=(d, d)).astype(np.float64)
-            for d in list(rng.integers(1, 12, size=20)) + [17, 18]]
+            for d in list(rng.integers(1, 12, size=20)) + [12, 13, 14, 16, 17, 18, 19]]
     row = rng.integers(-2, 3, size=9).astype(np.float64)
     mats += [np.zeros((1, 1)), np.array([[-2.0]]), np.zeros((7, 7)), np.eye(1),
              np.eye(6), np.eye(17), np.tile(row, (9, 1)),
@@ -266,6 +282,38 @@ def test_infone_enumeration_matches_brute_force():
     val, u = norms.inf_to_one_exact(np.outer(v, v))
     assert val == np.abs(v).sum() ** 2
     assert np.array_equal(u, np.sign(v) * np.sign(v[-1]))
+    d = 19
+    v = np.array([0] * 6 + [2, -1, 3, 1, -2, 1, 1, -3, 2, -1, -2, -3, 1], dtype=np.float64)
+    val, code = K.infone_enum_kernel(np.outer(v, v))
+    assert (val, code) == brute_infone(np.outer(v, v))
+    assert val == np.abs(v).sum() ** 2
+    assert code == sum(1 << b for b in range(d) if v[b] < 0)
+    assert 1 << (d - 1) > K._BATCH_ELEMS
+    assert code >= (1 << (d - 1)) - K._BATCH_ELEMS
+
+
+def test_enumeration_working_set_is_bounded():
+    """Traced allocation peaks: under 3 MiB for the inf->1 scan at dimension
+    ``ENUM_LIMIT``, under 1 MiB for the cube scan at 20 vertices.
+
+    A table over 16 low bits, or chunks of 2**16 codes, breaks the bounds.
+    """
+    rng = stream(31, 8)
+    d = K.ENUM_LIMIT
+    mat = rng.integers(-3, 4, size=(d, d)).astype(np.float64)
+    coefs, masks = random_terms(rng, 20, 6)
+    cube_args = to_kernel_args(coefs, masks, 20, True)
+    tracemalloc.start()
+    try:
+        K.infone_enum_kernel(mat)
+        infone_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        K.cube_enum_kernel(20, 1, *cube_args)
+        cube_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert infone_peak < 3 << 20, infone_peak
+    assert cube_peak < 1 << 20, cube_peak
 
 
 def test_ap_count_kernel_paths_agree():
