@@ -231,13 +231,14 @@ def symmetrization_sides(group: Group, m: int, k: int) -> tuple[Fraction, Fracti
     Sequences are taken in blocks of consecutive indices, each a stack
     of rows counts[d_i] summed in int64.  Signs s and -s give the same
     maximum, so only the sign vectors with s_{m-1} = +1 are formed and
-    their total is doubled.
+    their total is doubled.  The guard bounds the entries formed, m in
+    the sign table and n^m * 2^n signed sums per sign vector, at 2^25.
     """
     n = group.modulus
-    if n > 12 or n ** m > 200000:
-        raise ValueError("full enumeration limited to tiny N and m")
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
+    if n > 12 or (m + (n ** m << n)) << (m - 1) > 1 << 25:
+        raise ValueError("full enumeration limited to tiny N and m")
     counts = _progression_counts(n, k)
     group_counts = counts.sum(axis=0)
     signs = 1 - 2 * ((np.arange(1 << (m - 1))[:, None] >> np.arange(m)) & 1)

@@ -113,10 +113,6 @@ class EmbeddingMatrix:
         """Sum of all entries; equals the all-ones quadratic form."""
         return sum(self.entries.values())
 
-    def is_symmetric(self) -> bool:
-        return all(self.entries.get((c, r_), 0) == v
-                   for (r_, c), v in self.entries.items())
-
     def row_weights(self) -> np.ndarray:
         """Absolute row sums (the l1 weight of each row)."""
         w = np.zeros(self.dim, dtype=np.int64)
@@ -139,16 +135,6 @@ class EmbeddingMatrix:
         for (row, col), v in self.entries.items():
             out[row, col] = v
         return out
-
-    def to_sparse(self):
-        from scipy.sparse import coo_matrix
-
-        keys = sorted(self.entries)
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([k[1] for k in keys], dtype=np.int64)
-        vals = np.array([self.entries[k] for k in keys], dtype=np.float64)
-        return coo_matrix((vals, (rows, cols)),
-                          shape=(self.dim, self.dim)).tocsr()
 
     def scale_add(self, others: list[tuple[int, "EmbeddingMatrix"]]) -> "EmbeddingMatrix":
         """This matrix plus an integer combination of compatible matrices."""
@@ -341,11 +327,11 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
         if is_good_pair(seq, i, j, r))
     identity_ok = quad == closed
 
-    spectral, _ = norms.spectral_norm(mat)
-    upper = mat.dim * spectral
+    dense = mat.to_dense()
+    upper = mat.dim * norms.spectral_norm(dense)
     exact = mat.dim <= _kernels.ENUM_LIMIT
     if exact:
-        lower, _ = norms.inf_to_one_exact(mat.to_dense())
+        lower, _ = norms.inf_to_one_exact(dense)
     else:
         lower = float(abs(quad))
     tol = 1e-6 * max(1.0, abs(float(quad)))

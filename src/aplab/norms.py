@@ -17,72 +17,25 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .rng import spawn_signs, stream
+from .rng import spawn_signs
 
-# Dimensions up to this go through dense solves; read at call time.
-DENSE_LIMIT = 512
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 100000
 ASCENT_RESTARTS = 16
 
 
-def _as_dense_or_sparse(mat):
-    """Normalize input to ('dense', ndarray) or ('sparse', csr)."""
-    if hasattr(mat, "to_sparse") and hasattr(mat, "dim"):  # EmbeddingMatrix
-        if mat.dim <= DENSE_LIMIT:
-            return "dense", mat.to_dense()
-        return "sparse", mat.to_sparse()
-    arr = np.asarray(mat, dtype=np.float64) if not hasattr(mat, "tocsr") else mat
-    if hasattr(arr, "tocsr"):
-        sp = arr.tocsr()
-        if sp.shape[0] <= DENSE_LIMIT:
-            return "dense", sp.toarray()
-        return "sparse", sp
+def _square(mat) -> np.ndarray:
+    """The input as a square float64 array."""
+    arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
-    if arr.shape[0] <= DENSE_LIMIT:
-        return "dense", arr
-    from scipy.sparse import csr_matrix
-
-    return "sparse", csr_matrix(arr)
+    return arr
 
 
-def spectral_norm(mat) -> tuple[float, bool]:
-    """Largest singular value and a convergence flag.
-
-    Matrices up to ``DENSE_LIMIT`` go through a dense solve (always
-    converged).  Larger ones run power iteration on M^T M, never on M
-    itself: when the spectrum straddles +/- the same magnitude the plain
-    iteration alternates and its Rayleigh quotient freezes at a wrong
-    value, while on the positive-semidefinite M^T M the quotient equals
-    ||Mv||^2 and climbs monotonically to the squared norm.  It climbs
-    from below, so the iterated value never exceeds the true norm.
-    """
-    kind, obj = _as_dense_or_sparse(mat)
-    if kind == "dense":
-        if obj.shape[0] == 0:
-            return 0.0, True
-        return float(np.linalg.norm(obj, 2)), True
-    a = obj
-    at = a.T.tocsr()
-    dim = a.shape[0]
-    rng = stream(0, 977)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    prev = None
-    lam2 = 0.0
-    for _ in range(POWER_MAX_ITER):
-        av = a @ v
-        lam2 = float(av @ av)  # Rayleigh quotient of M^T M at unit v
-        w = at @ av
-        nw = float(np.linalg.norm(w))
-        if nw < 1e-300:
-            return 0.0, True
-        v = w / nw
-        if prev is not None and abs(lam2 - prev) <= POWER_TOL * max(1.0, lam2):
-            return sqrt(lam2), True
-        prev = lam2
-    return sqrt(lam2), False
+def spectral_norm(mat) -> float:
+    """Largest singular value, by a dense solve; 0.0 for an empty matrix."""
+    arr = _square(mat)
+    if arr.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.norm(arr, 2))
 
 
 def inf_to_one_exact(mat) -> tuple[float, np.ndarray]:
@@ -95,9 +48,7 @@ def inf_to_one_exact(mat) -> tuple[float, np.ndarray]:
     maximizer in code order, and its last entry is +1.  Other input gets
     the maximum up to float rounding.
     """
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
+    arr = _square(mat)
     d = arr.shape[0]
     if d > _kernels.ENUM_LIMIT:
         raise ValueError(f"exact inf->1 limited to dimension {_kernels.ENUM_LIMIT}")
@@ -113,28 +64,20 @@ def _sign_plus(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inf_to_one_bracket(kind: str, a, spectral: float, rng) -> tuple[float, float]:
-    """``inf_to_one_bounds`` on normalized input with its spectral norm given."""
+def _inf_to_one_bracket(a: np.ndarray, spectral: float, rng) -> tuple[float, float]:
+    """``inf_to_one_bounds`` on a square array with its spectral norm given."""
     dim = a.shape[0]
     if dim == 0:
         return 0.0, 0.0
-    at = a.T.tocsr() if kind == "sparse" else a.T
-    if kind == "sparse":
-        entry_mass = float(np.abs(a.data).sum()) if a.nnz else 0.0
-        # power iteration undershoots ||M||; sqrt(||M||_1 ||M||_inf) does not
-        norm_bound = sqrt(one_to_one_norm(a) * one_to_one_norm(at))
-    else:
-        entry_mass = float(np.abs(a).sum())
-        norm_bound = spectral
-    upper = min(dim * norm_bound, entry_mass)
+    upper = min(dim * spectral, float(np.abs(a).sum()))
 
     def ascend(u0: np.ndarray) -> float:
         u = u0
         val = -np.inf
         for _ in range(64):
-            v = _sign_plus(at @ u)
-            u = _sign_plus(a @ v)
-            new = float(u @ (a @ v))
+            av = a @ _sign_plus(a.T @ u)
+            u = _sign_plus(av)
+            new = float(u @ av)
             if new <= val:
                 break
             val = new
@@ -154,41 +97,22 @@ def inf_to_one_bounds(mat, rng=None) -> tuple[float, float]:
     the all-ones start plus ``ASCENT_RESTARTS`` random starts when a
     generator is given; each iterate is a feasible sign pair, so the
     lower end is certified.  Upper end: the smaller of the total l1 mass
-    of the entries and dim times a bound on ||M||.  Up to ``DENSE_LIMIT``
-    that bound is the dense spectral norm.  Above it the power iteration
-    approaches ||M|| from below, so the bound is instead
-    sqrt(||M||_1 ||M||_inf), the geometric mean of the largest column
-    and row l1 weights, which always dominates ||M||.  Either way the
-    upper end holds up to rounding.
+    of the entries and dim times the spectral norm, which holds up to
+    rounding.
     """
-    kind, obj = _as_dense_or_sparse(mat)
-    spectral, _ = spectral_norm(obj)
-    return _inf_to_one_bracket(kind, obj, spectral, rng)
+    arr = _square(mat)
+    return _inf_to_one_bracket(arr, spectral_norm(arr), rng)
 
 
 def one_to_one_norm(mat) -> float:
     """Max column l1 weight; for symmetric M this dominates the spectral norm."""
-    if hasattr(mat, "entries") and hasattr(mat, "dim"):  # EmbeddingMatrix
-        cols = np.zeros(mat.dim, dtype=np.int64)
-        for (_, col), v in mat.entries.items():
-            cols[col] += abs(v)
-        return float(cols.max(initial=0))
-    if hasattr(mat, "tocsc"):
-        sp = mat.tocsc()
-        if sp.nnz == 0:
-            return 0.0
-        return float(np.asarray(np.abs(sp).sum(axis=0)).max())
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.abs(arr).sum(axis=0).max())
+    return float(np.abs(_square(mat)).sum(axis=0).max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class NormReport:
     dim: int
     spectral: float
-    spectral_converged: bool
     one_to_one: float
     inf_to_one_lower: float
     inf_to_one_upper: float
@@ -198,21 +122,18 @@ class NormReport:
 def norm_report(mat, *, rng=None) -> NormReport:
     """All three norms, with the inf->1 value exact when small enough.
 
-    The input is normalized once and its spectral norm computed once;
-    the inf->1 bracket reuses that value.
+    The spectral norm is solved once; the inf->1 bracket reuses it.
     """
-    kind, obj = _as_dense_or_sparse(mat)
-    dim = obj.shape[0]
-    spec, conv = spectral_norm(obj)
-    oto = one_to_one_norm(obj)
+    arr = _square(mat)
+    dim = arr.shape[0]
+    spec = spectral_norm(arr)
     exact = None
     if dim <= _kernels.ENUM_LIMIT:
-        dense = obj if kind == "dense" else obj.toarray()
-        exact, _ = inf_to_one_exact(dense)
+        exact, _ = inf_to_one_exact(arr)
         lower = upper = exact
     else:
-        lower, upper = _inf_to_one_bracket(kind, obj, spec, rng)
-    return NormReport(dim, spec, conv, oto, lower, upper, exact)
+        lower, upper = _inf_to_one_bracket(arr, spec, rng)
+    return NormReport(dim, spec, one_to_one_norm(arr), lower, upper, exact)
 
 
 @dataclass(frozen=True)

@@ -182,8 +182,7 @@ def test_criterion_07_norm_inequalities(criterion):
         draw = rng.integers(-3, 4, size=(d, d))
         mat = (np.triu(draw) + np.triu(draw, 1).T).astype(np.float64)
         assert np.abs(mat).max() <= 3
-        spec, conv = N.spectral_norm(mat)
-        assert conv
+        spec = N.spectral_norm(mat)
         infone, _ = N.inf_to_one_exact(mat)
         one = N.one_to_one_norm(mat)
         tol = 1e-6 * max(1.0, spec)
@@ -283,8 +282,7 @@ def test_criterion_11_pruning(criterion):
     assert len(zeroed) > 0
     surv = pruned.row_weights()
     assert (surv < threshold).all()
-    spec, conv = N.spectral_norm(pruned)
-    assert conv
+    spec = N.spectral_norm(pruned.to_dense())
     assert spec <= threshold + 1e-6 * max(1.0, threshold)
     dist = E.prune_distance(mat, pruned)
     diff = (mat.to_dense() - pruned.to_dense()).astype(np.float64)

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aplab import _kernels, discrepancy, embedding, intersectivity
 from aplab.cli import _verify_dominance, main
 from aplab.records import iter_ledger
+from aplab.rng import stream
 
 
 def run_cli(capsys, tmp_path, *argv):
@@ -160,6 +162,22 @@ def test_norms_identity_demo(capsys, tmp_path):
     assert payload["results"]["one_to_one"] == 1
 
 
+def test_norms_random_demo_is_the_dense_spectral_norm(capsys, tmp_path):
+    """Above dimension 512 the spectral norm is the dense solve, to the bit,
+    and the inf->1 bracket's upper end is at most dim times it."""
+    code, out = run_cli(capsys, tmp_path, "norms", "--demo", "random",
+                        "--dim", "600", "--seed", "3")
+    assert code == 0
+    results = json.loads(out)["results"]
+    half = stream(3, 23).integers(-3, 4, size=(600, 600))
+    mat = (half + half.T).astype(np.float64)
+    assert results["spectral"] == float(np.linalg.norm(mat, 2))
+    assert "spectral_converged" not in results
+    assert results["inf_to_one_exact"] is None
+    assert (results["inf_to_one_lower"] <= results["inf_to_one_upper"]
+            <= 600 * results["spectral"])
+
+
 def test_csv_output_format(capsys, tmp_path):
     code, out = run_cli(capsys, tmp_path, "critical-size", "--modulus", "5",
                         "--epsilon", "1.0", "--trials", "50", "--seed", "1",
@@ -277,14 +295,23 @@ def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:
     return code, set(loaded)
 
 
-def test_verify_never_imports_scipy(tmp_path):
-    """A fresh interpreter runs ``verify`` without loading any scipy module.
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "0"],
+    ["critical-size", "--modulus", "7", "--trials", "5"],
+    ["check", "--modulus", "7", "--differences", "1,2"],
+    ["khintchine", "--dim", "4", "--count", "2", "--trials", "5"],
+    ["kimvu", "--trials", "50"],
+    ["norms", "--demo", "random", "--dim", "600"],
+    ["norms", "--demo", "window"],
+], ids=["verify", "critical-size", "check", "khintchine", "kimvu", "norms-random",
+        "norms-window"])
+def test_no_subcommand_imports_scipy(tmp_path, argv):
+    """A fresh interpreter runs every subcommand without loading any scipy module.
 
-    scipy is imported lazily, inside the functions that build sparse
-    matrices; importing scipy.sparse takes about as long as a short
-    workload run.
+    Every norm is a dense numpy solve, and importing scipy.sparse takes
+    about as long as a short workload run.
     """
-    code, loaded = modules_after_main(tmp_path, ["verify", "--seed", "0"])
+    code, loaded = modules_after_main(tmp_path, argv)
     assert code == 0
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 

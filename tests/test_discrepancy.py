@@ -221,6 +221,8 @@ def test_symmetrization_sides_match_reference_loops():
         D.symmetrization_sides(Group(13), 1, 3)
     with pytest.raises(ValueError):
         D.symmetrization_sides(Group(12), 5, 3)
+    with pytest.raises(ValueError):  # 12^4 sequences x 8 sign vectors x 4096 subsets
+        D.symmetrization_sides(Group(12), 4, 3)
 
 
 def test_collision_and_multiplicity():

@@ -53,7 +53,8 @@ def test_pair_embedding_totals():
     assert mat.total() == 44
     assert E.embedding_total_closed_form(11, 2, 1) == 44
     assert E.embedding_scale(11, 2, 1) == comb(2, 1) ** 2 * comb(7, 0)
-    assert mat.is_symmetric()
+    dense = mat.to_dense()
+    assert np.array_equal(dense, dense.T)
     # non-good pair gives the zero matrix
     bad = E.pair_embedding(DifferenceSequence(Group(7), (1, 2)), 0, 1, 2, 1)
     assert bad.nnz() == 0
@@ -128,7 +129,7 @@ def test_prune_semantics():
     assert zeroed == tuple(int(i) for i in np.flatnonzero(weights >= thr))
     surv = pruned.row_weights()
     assert (surv < thr).all()
-    assert pruned.is_symmetric()
+    assert np.array_equal(pruned.to_dense(), pruned.to_dense().T)
     # removed mass bounds any operator norm of the difference
     dist = E.prune_distance(mat, pruned)
     diff = mat.to_dense() - pruned.to_dense()
@@ -190,6 +191,6 @@ def test_lower_bound_chain_above_enumeration_limit(monkeypatch):
     assert report.quadratic == report.closed_form == 12
     assert report.norm_lower == abs(report.quadratic)
     assert report.ok
-    monkeypatch.setattr(norms, "spectral_norm", lambda mat: (0.0, True))
+    monkeypatch.setattr(norms, "spectral_norm", lambda mat: 0.0)
     report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
     assert report.identity_ok and not report.ok

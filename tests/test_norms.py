@@ -1,4 +1,4 @@
-"""Operator norms: exact enumeration, power iteration, bounds, sign sums."""
+"""Operator norms: exact enumeration, dense spectral norm, bounds, sign sums."""
 from itertools import product
 from math import log, sqrt
 
@@ -15,8 +15,7 @@ from aplab.rng import stream
 
 def test_identity_matrix():
     eye = np.eye(8)
-    spec, conv = N.spectral_norm(eye)
-    assert conv and spec == pytest.approx(1.0)
+    assert N.spectral_norm(eye) == pytest.approx(1.0)
     val, u = N.inf_to_one_exact(eye)
     assert val == 8.0
     assert np.abs(eye @ u).sum() == 8.0
@@ -26,11 +25,9 @@ def test_identity_matrix():
 def test_rank_one_and_diagonal():
     v = np.array([3.0, -4.0])
     mat = np.outer(v, v)  # spectral norm 25
-    spec, _ = N.spectral_norm(mat)
-    assert spec == pytest.approx(25.0)
+    assert N.spectral_norm(mat) == pytest.approx(25.0)
     diag = np.diag([1.0, -7.0, 2.0])
-    spec2, _ = N.spectral_norm(diag)
-    assert spec2 == pytest.approx(7.0)
+    assert N.spectral_norm(diag) == pytest.approx(7.0)
     assert N.one_to_one_norm(diag) == 7.0
     val, _ = N.inf_to_one_exact(diag)
     assert val == 10.0  # signs select every diagonal magnitude
@@ -59,36 +56,19 @@ def test_inf_to_one_bounds_sandwich():
         lo, up = N.inf_to_one_bounds(mat, rng=rng)
         assert lo <= exact + 1e-9
         assert exact <= up + 1e-9
-    # above DENSE_LIMIT the spectral norm comes from power iteration
-    dim = N.DENSE_LIMIT + 88
+    dim = 600
     lo, up = N.inf_to_one_bounds(np.eye(dim), rng=rng)
     assert lo == dim
     assert lo <= up
 
 
-def test_spectral_norm_sparse_path_matches_dense(monkeypatch):
-    monkeypatch.setattr(N, "DENSE_LIMIT", 4)  # force iteration
-    rng = stream(83, 2)
-    for _ in range(10):
-        d = int(rng.integers(5, 40))
-        half = rng.integers(-3, 4, size=(d, d)).astype(np.float64)
-        mat = half + half.T
-        want = np.linalg.norm(mat, 2)
-        got, conv = N.spectral_norm(mat)
-        assert conv
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
-
-
-def test_spectral_norm_on_embedding_matrix(monkeypatch):
+def test_spectral_norm_on_embedding_matrix():
     seq = DifferenceSequence(Group(11), (1, 3))
-    mat = pair_embedding(seq, 0, 1, 2, 1)
-    want = np.linalg.norm(mat.to_dense().astype(np.float64), 2)
-    got_dense, _ = N.spectral_norm(mat)  # dense route for small dims
-    assert got_dense == pytest.approx(want, rel=1e-12)
-    monkeypatch.setattr(N, "DENSE_LIMIT", 4)  # force iteration
-    got, conv = N.spectral_norm(mat)
-    assert conv
-    assert got == pytest.approx(want, rel=1e-6)
+    dense = pair_embedding(seq, 0, 1, 2, 1).to_dense()
+    assert N.spectral_norm(dense) == np.linalg.norm(dense, 2)
+    assert N.spectral_norm(np.zeros((0, 0))) == 0.0
+    with pytest.raises(ValueError):
+        N.spectral_norm(np.ones((2, 3)))
 
 
 def test_one_to_one_norm_is_max_column_mass():
@@ -98,7 +78,10 @@ def test_one_to_one_norm_is_max_column_mass():
     assert N.one_to_one_norm(mat) == want
     seq = DifferenceSequence(Group(11), (1, 3))
     emb = pair_embedding(seq, 0, 1, 2, 1)
-    assert N.one_to_one_norm(emb) == np.abs(emb.to_dense()).sum(axis=0).max()
+    want = max(sum(abs(v) for (_, col), v in emb.entries.items() if col == c)
+               for c in range(emb.dim))
+    assert N.one_to_one_norm(emb.to_dense()) == want
+    assert N.one_to_one_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_norm_report_consistency():
