@@ -132,7 +132,8 @@ def _signed_row_sums(rows):
 def infone_enum_kernel(mat):
     """Max of ||M^T u||_1 over u in {-1,+1}^d; a set mask bit means u = -1.
 
-    Returns the first maximizing code.  Since ||M^T u||_1 = ||M^T (-u)||_1
+    M has d >= 1 rows and any number of columns.  Returns the first
+    maximizing code.  Since ||M^T u||_1 = ||M^T (-u)||_1
     and complementing a code with bit d-1 set gives a smaller one, that
     code has u_{d-1} = +1, so only the 2**(d-1) codes below 2**(d-1) are
     scanned.  Their low ``_TABLE_BITS`` bits index a table P of signed

@@ -347,6 +347,9 @@ def cmd_kimvu(args) -> int:
 def cmd_norms(args) -> int:
     from . import embedding, norms
     started = time.monotonic()
+    if args.demo != "window" and args.dim > embedding.DENSE_DIM_CAP:
+        raise ValueError(f"dim must be at most {embedding.DENSE_DIM_CAP} "
+                         f"for the {args.demo} demo, got {args.dim}")
     payload = _payload("norms", {"demo": args.demo, "dim": args.dim}, args.seed)
     if args.demo == "identity":
         mat = np.eye(args.dim)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .counting import DifferenceSequence, RationalCount
-from .groups import ApParams, Group, as_density, pair_support
+from .groups import ApParams, Group, as_density, single_support
 
 GOOD_SET_ATTEMPTS = 200
 COLLISION_SLACK = 4.0  # of every collision threshold; read at call time
@@ -268,7 +268,8 @@ def is_good_pair(seq: DifferenceSequence, i: int, j: int, r: int) -> bool:
     That is, the two forward windows {l*d : l in 1..2r} are disjoint and
     neither folds onto itself; only such pairs get a nonzero embedding.
     """
-    pts = pair_support(seq.group, 0, seq.entries[i], seq.entries[j], r)
+    pts = set(single_support(seq.group, 0, seq.entries[i], r))
+    pts.update(single_support(seq.group, 0, seq.entries[j], r))
     return len(pts) == 4 * r
 
 

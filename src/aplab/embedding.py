@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _kernels, norms
 from .counting import DifferenceSequence
-from .discrepancy import IndexPartition, _as_signs, is_good_pair
-from .groups import pair_support, single_support
+from .discrepancy import IndexPartition, _as_signs, _window_products, is_good_pair
+from .groups import single_support
 
 DIMENSION_CAP = 20000  # largest comb(N, s) a pair matrix may index; read at call time
 DENSE_DIM_CAP = 4096
@@ -61,33 +61,20 @@ class SubsetIndexer:
     def iter_subsets(self) -> Iterator[tuple[int, ...]]:
         """All s-subsets in rank (colex) order.
 
-        The inner subsets must come out in colex order as well, so this
-        recurses instead of using lexicographic ``itertools.combinations``;
-        the two orders agree only below three elements.
+        Colex order is the lexicographic order of the subsets of the
+        descending universe n-1, ..., 0, reversed; each subset is then
+        read back in increasing order.
         """
-        yield from _colex(self.n, self.s)
-
-
-def _colex(n: int, s: int) -> Iterator[tuple[int, ...]]:
-    if s == 0:
-        yield ()
-        return
-    for top in range(s - 1, n):
-        for rest in _colex(top, s - 1):
-            yield rest + (top,)
+        down = list(combinations(range(self.n - 1, -1, -1), self.s))
+        return (sub[::-1] for sub in reversed(down))
 
 
 def lift_signs(Z, s: int) -> np.ndarray:
     """Subset products prod_{y in S} Z(y) in colex rank order, as int8."""
     zz = _as_signs(Z, np.size(Z))
     indexer = SubsetIndexer(zz.shape[0], s)
-    out = np.empty(indexer.count, dtype=np.int8)
-    for pos, sub in enumerate(indexer.iter_subsets()):
-        val = 1
-        for y in sub:
-            val *= int(zz[y])
-        out[pos] = val
-    return out
+    subsets = np.array(list(indexer.iter_subsets()), dtype=np.int64)
+    return zz[subsets.reshape(indexer.count, s)].prod(axis=1).astype(np.int8)
 
 
 class EmbeddingMatrix:
@@ -218,17 +205,16 @@ def embedding_total_closed_form(n: int, s: int, r: int) -> int:
 
 
 def pair_window_sum(seq: DifferenceSequence, i: int, j: int, r: int, Z) -> int:
-    """sum_x prod over the union window at x of Z, an exact integer."""
-    group = seq.group
-    n = group.modulus
-    zz = _as_signs(Z, n)
-    total = 0
-    for x in range(n):
-        val = 1
-        for y in pair_support(group, x, seq.entries[i], seq.entries[j], r):
-            val *= int(zz[y])
-        total += val
-    return total
+    """sum_x prod over the union window at x of Z, an exact integer.
+
+    A good pair's union window is two disjoint windows, so the product
+    splits into the window products H_i(x) H_j(x) of the Cauchy-Schwarz
+    step; a colliding pair raises ``ValueError``.
+    """
+    if not is_good_pair(seq, i, j, r):
+        raise ValueError(f"the windows of pair ({i}, {j}) collide")
+    H = _window_products(seq, _as_signs(Z, seq.group.modulus), 2 * r + 1)
+    return int(H[i] @ H[j])
 
 
 def verify_embedding_identity(seq: DifferenceSequence, i: int, j: int, s: int,
@@ -306,7 +292,8 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     The aggregated matrix is sum over (i, j) in L x R of sigma_i tau_j
     M(i, j), built as sum_i sigma_i * ``aggregate_pair_embeddings``.  Its
     quadratic form at lift(Z) must equal the closed-form window sum
-    (exact integers), and |quadratic| must lie below
+    (exact integers, from window products built once for the chain, as in
+    ``pair_window_sum``), and |quadratic| must lie below
     dim * spectral.  Up to ``_kernels.ENUM_LIMIT`` the inf->1 norm is
     enumerated exactly and must dominate |quadratic| as well.  Above it
     ``norm_lower`` is |quadratic| itself, a valid lower bound (lift(Z) is
@@ -319,10 +306,10 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     mat = EmbeddingMatrix(n, s, r, {}).scale_add(
         [(int(sig[pos]), aggregate_pair_embeddings(seq, i, ta, part.right, s, r))
          for pos, i in enumerate(part.left)])
-    lifted = lift_signs(Z, s)
-    quad = mat.quadratic_form(lifted)
+    quad = mat.quadratic_form(lift_signs(Z, s))
+    H = _window_products(seq, _as_signs(Z, n), 2 * r + 1)
     closed = embedding_scale(n, s, r) * sum(
-        int(sig[pos_i]) * int(ta[pos_j]) * pair_window_sum(seq, i, j, r, Z)
+        int(sig[pos_i]) * int(ta[pos_j]) * int(H[i] @ H[j])
         for pos_i, i in enumerate(part.left) for pos_j, j in enumerate(part.right)
         if is_good_pair(seq, i, j, r))
     identity_ok = quad == closed

@@ -82,16 +82,6 @@ def default_block_size(n: int, k: int) -> int:
     return max(s, 1)
 
 
-def pair_support(group: Group, x: int, d_i: int, d_j: int, r: int) -> set[int]:
-    """Union of the two forward windows {x + l*d : l in 1..2r} for d_i, d_j."""
-    if r < 1:
-        raise ValueError("window half-length r must be at least 1")
-    n = group.modulus
-    pts = {(x + step * d_i) % n for step in range(1, 2 * r + 1)}
-    pts |= {(x + step * d_j) % n for step in range(1, 2 * r + 1)}
-    return pts
-
-
 def single_support(group: Group, x: int, d: int, r: int) -> list[int]:
     """The forward window x + d, x + 2d, ..., x + 2r*d mod N, in step order."""
     if r < 1:

@@ -42,20 +42,25 @@ def inf_to_one_exact(mat) -> tuple[float, np.ndarray]:
     """Exact max of u^T M v over sign vectors, with the maximizing u.
 
     Only u is enumerated; the optimal v is sign(M^T u) with ties going
-    to +1, so the value is max over u of ||M^T u||_1.  Feasible for
-    dimension <= ``_kernels.ENUM_LIMIT``.  For integer-valued M (every
-    caller in the package) the value and u are exact: u is the first
-    maximizer in code order, and its last entry is +1.  Other input gets
-    the maximum up to float rounding.
+    to +1, so the value is max over u of ||M^T u||_1.  A zero row of M
+    adds nothing to M^T u, so u is enumerated on the nonzero rows only
+    and is +1 on the rest; an all-zero M costs no enumeration.  Feasible
+    for dimension <= ``_kernels.ENUM_LIMIT``.  For integer-valued M
+    (every caller in the package) the value and u are exact: u is the
+    first maximizer in code order, and its last entry is +1.  Other
+    input gets the maximum up to float rounding.
     """
     arr = _square(mat)
     d = arr.shape[0]
     if d > _kernels.ENUM_LIMIT:
         raise ValueError(f"exact inf->1 limited to dimension {_kernels.ENUM_LIMIT}")
-    if d == 0:
-        return 0.0, np.ones(0, dtype=np.int64)
-    best, mask = _kernels.infone_enum_kernel(arr)
-    return float(best), 1 - 2 * _kernels.bit_vector(mask, d).astype(np.int64)
+    u = np.ones(d, dtype=np.int64)
+    live = np.flatnonzero(arr.any(axis=1))
+    if live.size == 0:
+        return 0.0, u
+    best, mask = _kernels.infone_enum_kernel(arr[live])
+    u[live] = 1 - 2 * _kernels.bit_vector(mask, live.size).astype(np.int64)
+    return float(best), u
 
 
 def _sign_plus(vec: np.ndarray) -> np.ndarray:
@@ -163,7 +168,7 @@ def khintchine_bound(mats: list[np.ndarray]) -> float:
         raise ValueError("matrices must share a square shape")
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    sq = sum(float(np.linalg.norm(m, 2)) ** 2 for m in mats)
+    sq = sum(spectral_norm(m) ** 2 for m in mats)
     return 10.0 * sqrt(log(d)) * sqrt(sq)
 
 
@@ -184,7 +189,7 @@ def khintchine_bench(mats: list[np.ndarray], trials: int, rng) -> KhintchineRepo
     for _ in range(trials):
         signs = spawn_signs(rng, arr.shape[0]).astype(np.float64)
         summed = np.tensordot(signs, arr, axes=1)
-        val = float(np.linalg.norm(summed, 2))
+        val = spectral_norm(summed)
         total += val
         worst = max(worst, val)
     return KhintchineReport(arr.shape[1], arr.shape[0], trials, bound,

@@ -219,6 +219,19 @@ def test_norms_accepts_dim_one(capsys, tmp_path):
     assert json.loads(out)["results"]["dim"] == 1
 
 
+def test_norms_rejects_dim_above_dense_cap(capsys, tmp_path):
+    """identity and random refuse a dimension past DENSE_DIM_CAP before building it."""
+    dim = str(embedding.DENSE_DIM_CAP + 1)
+    for demo in ("identity", "random"):
+        code = main(["norms", "--demo", demo, "--dim", dim,
+                     "--out", str(tmp_path / "runs.ledger")])
+        captured = capsys.readouterr()
+        assert code == 1, demo
+        assert captured.err.startswith("error:"), demo
+        assert captured.out == "", demo
+    assert not (tmp_path / "runs.ledger").exists()
+
+
 def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
     """The exact limit, collision slack and dimension cap are constants, not flags."""
     commands = (["critical-size", "--modulus", "5"],

@@ -14,7 +14,7 @@ from aplab.rng import spawn_signs, stream
 
 
 def test_indexer_is_colex_bijection():
-    for n, s in ((6, 3), (9, 2), (5, 5), (4, 0), (7, 1)):
+    for n, s in ((6, 3), (9, 2), (5, 5), (4, 0), (7, 1), (0, 0), (1, 1), (12, 5)):
         ix = E.SubsetIndexer(n, s)
         subs = list(ix.iter_subsets())
         assert len(subs) == comb(n, s)
@@ -35,8 +35,38 @@ def test_lift_signs_products():
     assert lift[ix.rank((0, 1))] == -1
     for sub in ix.iter_subsets():
         assert lift[ix.rank(sub)] == z[list(sub)].prod()
+    assert E.lift_signs(z, 0).tolist() == [1]  # the empty product
+    assert E.lift_signs(z, 4).tolist() == [1]  # the one 4-subset
+    assert E.lift_signs(z[:3], 3).tolist() == [-1]
+    assert E.lift_signs(np.ones(0, dtype=np.int64), 0).tolist() == [1]
     with pytest.raises(ValueError):
         E.lift_signs([1, 0, -1], 2)
+
+
+def _union_window_sum(seq, i, j, r, z):
+    """Reference: sum_x of the product of z over the set union of both windows."""
+    n = seq.group.modulus
+    total = 0
+    for x in range(n):
+        union = {(x + step * d) % n for d in (seq.entries[i], seq.entries[j])
+                 for step in range(1, 2 * r + 1)}
+        total += int(np.prod([z[y] for y in union]))
+    return total
+
+
+def test_pair_window_sum_matches_union_window_loop():
+    rng = stream(61, 3)
+    checked = 0
+    while checked < 1000:
+        n = int(rng.integers(5, 30))
+        r = int(rng.integers(1, 3))
+        seq = DifferenceSequence.sample(Group(n), 3, rng)
+        i, j = (int(v) for v in rng.choice(3, size=2, replace=False))
+        if not is_good_pair(seq, i, j, r):
+            continue
+        z = spawn_signs(rng, n).astype(np.int64)
+        assert E.pair_window_sum(seq, i, j, r, z) == _union_window_sum(seq, i, j, r, z)
+        checked += 1
 
 
 def test_good_pair():
@@ -44,6 +74,8 @@ def test_good_pair():
     assert is_good_pair(seq, 0, 1, 1)  # {1,2} vs {3,6} disjoint
     seq2 = DifferenceSequence(Group(7), (1, 2))
     assert not is_good_pair(seq2, 0, 1, 1)  # {1,2} meets {2,4}
+    with pytest.raises(ValueError):
+        E.pair_window_sum(seq2, 0, 1, 1, np.ones(7, dtype=np.int64))
 
 
 def test_pair_embedding_totals():

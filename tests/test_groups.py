@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from aplab.groups import (ApParams, Group, as_density, density_target,
-                          pair_support, single_support)
+from aplab.groups import ApParams, Group, as_density, density_target, single_support
 
 
 def test_as_density_decimal_exactness():
@@ -41,9 +40,6 @@ def test_params_validation():
         _ = ApParams(4).r  # even k has no half-length
 
 
-def test_pair_and_single_support():
-    assert pair_support(Group(11), 0, 1, 3, 1) == {1, 2, 3, 6}
-    # colliding windows shrink the union
-    assert pair_support(Group(7), 0, 1, 2, 1) == {1, 2, 4}
+def test_single_support():
     assert single_support(Group(11), 0, 3, 1) == [3, 6]
     assert single_support(Group(7), 2, 1, 2) == [3, 4, 5, 6]

@@ -34,17 +34,33 @@ def test_rank_one_and_diagonal():
 
 
 def test_inf_to_one_exact_matches_double_enumeration():
+    """Value and first maximizer, also with zero rows, which are not enumerated."""
     rng = stream(83, 0)
+    holes = stream(83, 11)
     for _ in range(25):
         d = int(rng.integers(1, 9))
         mat = rng.integers(-3, 4, size=(d, d)).astype(np.float64)
-        val, u = N.inf_to_one_exact(mat)
-        best = 0.0
-        for us in product((1.0, -1.0), repeat=d):
-            row = np.array(us) @ mat
-            best = max(best, np.abs(row).sum())
-        assert val == best
-        assert np.abs(u @ mat).sum() == pytest.approx(val)
+        zeroed = mat.copy()
+        zeroed[holes.random(d) < 0.4] = 0.0
+        for m in (mat, zeroed):
+            val, u = N.inf_to_one_exact(m)
+            values = [np.abs(np.array(us) @ m).sum()
+                      for us in product((1.0, -1.0), repeat=d)]
+            assert val == max(values)
+            assert np.abs(u @ m).sum() == val
+            # the first maximizer in code order, bit b set when u_b = -1
+            codes = [sum(1 << b for b, s in enumerate(us) if s < 0)
+                     for us in product((1.0, -1.0), repeat=d)]
+            first = min(c for c, v in zip(codes, values) if v == val)
+            assert sum(1 << b for b in range(d) if u[b] < 0) == first
+            assert (u[~m.any(axis=1)] == 1).all()
+
+
+def test_inf_to_one_exact_all_zero_at_limit():
+    d = _kernels.ENUM_LIMIT
+    val, u = N.inf_to_one_exact(np.zeros((d, d)))
+    assert val == 0.0
+    assert u.tolist() == [1] * d
 
 
 def test_inf_to_one_bounds_sandwich():
