@@ -1,11 +1,12 @@
 """Command-line driver for the experiment suite.
 
-Each subcommand builds a structured payload (command, params, seed,
-results, assertions, version), prints it to stdout as JSON or CSV, and
-appends it with wall-time and peak-RSS fields to the run ledger.
-Payloads are deterministic for a fixed (command, config, seed); wall
-time and peak RSS live only in the ledger copy.  Exit codes: 0 success,
-1 failed assertion, 2 usage.
+Each subcommand handler builds and returns a structured payload
+(command, params, seed, results, assertions, version); ``main`` alone
+prints it to stdout as one line of JSON and appends it, with the wall
+time since dispatch and the peak RSS, to the run ledger.  Payloads are
+deterministic for a fixed (command, config, seed); wall time and peak
+RSS live only in the ledger copy.  Exit codes: 0 success, 1 failed
+assertion or runtime error, 2 usage.
 
 Every command runs in a fresh interpreter, where start-up is a large
 share of a short run, so the module level holds only what every
@@ -33,7 +34,7 @@ import numpy as np
 from .counting import DifferenceSequence
 from .groups import (MAX_PROGRESSION_LENGTH, ApParams, Group, as_density,
                      default_block_size, density_target)
-from .records import VERSION, append_ledger, dumps_record, record_to_csv
+from .records import VERSION, append_ledger, dumps_record
 from .rng import spawn_signs, stream
 
 _LEDGER_DEFAULT = "./runs.ledger"
@@ -53,16 +54,15 @@ def _difference_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _finish(payload: dict, args, started: float) -> int:
+def _finish(payload: dict, out: str, started: float) -> int:
+    """Print ``payload``, ledger it with its run cost, and return the exit code."""
     import resource
-    text = (record_to_csv(payload) if args.format == "csv"
-            else dumps_record(payload) + "\n")
-    sys.stdout.write(text)
+    sys.stdout.write(dumps_record(payload) + "\n")
     ledger_rec = dict(payload)
     ledger_rec["wall_time_s"] = time.monotonic() - started
     # ru_maxrss is in KiB on Linux; MB here means MiB, as perfbench reports it
     ledger_rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    append_ledger(args.out, ledger_rec)
+    append_ledger(out, ledger_rec)
     return 0 if all(a["pass"] for a in payload["assertions"]) else 1
 
 
@@ -70,9 +70,8 @@ def _finish(payload: dict, args, started: float) -> int:
 # subcommands
 
 
-def cmd_critical_size(args) -> int:
+def cmd_critical_size(args) -> dict:
     from . import intersectivity
-    started = time.monotonic()
     group = Group(args.modulus)
     params = ApParams(args.k, as_density(args.epsilon))
     payload = _payload("critical-size", {
@@ -88,12 +87,11 @@ def cmd_critical_size(args) -> int:
                    "p_hat": p.p_hat, "ci_low": p.ci_low, "ci_high": p.ci_high}
                   for p in est.curve],
     }
-    return _finish(payload, args, started)
+    return payload
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> dict:
     from . import intersectivity
-    started = time.monotonic()
     group = Group(args.modulus)
     params = ApParams(args.k, as_density(args.epsilon))
     diffs = _difference_list(args.differences)
@@ -111,7 +109,7 @@ def cmd_check(args) -> int:
         "witness": (list(verdict.witness.indices())
                     if verdict.witness is not None else None),
     }
-    return _finish(payload, args, started)
+    return payload
 
 
 def _verify_embedding_identity(payload, seed, inject_fault: bool):
@@ -240,9 +238,8 @@ def _verify_symmetrization(payload):
     _assert_into(payload, "symmetrization", True, "N=5, m in {1,2}, exact")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     from . import discrepancy, embedding
-    started = time.monotonic()
     payload = _payload("verify", {
         "collision_slack": discrepancy.COLLISION_SLACK,
         "dimension_cap": embedding.DIMENSION_CAP,
@@ -255,12 +252,11 @@ def cmd_verify(args) -> int:
     _verify_chain(payload, args.seed)
     _verify_symmetrization(payload)
     payload["results"]["all_pass"] = all(a["pass"] for a in payload["assertions"])
-    return _finish(payload, args, started)
+    return payload
 
 
-def cmd_khintchine(args) -> int:
+def cmd_khintchine(args) -> dict:
     from . import norms
-    started = time.monotonic()
     payload = _payload("khintchine", {
         "dim": args.dim, "count": args.count, "trials": args.trials,
     }, args.seed)
@@ -276,7 +272,7 @@ def cmd_khintchine(args) -> int:
                  f"ratio={report.mean_ratio:.6g}")
     _assert_into(payload, "max-below-bound", report.max_norm <= report.bound,
                  f"ratio={report.max_ratio:.6g}")
-    return _finish(payload, args, started)
+    return payload
 
 
 def _kimvu_sizes(args) -> tuple[int, int, int]:
@@ -289,29 +285,10 @@ def _kimvu_sizes(args) -> tuple[int, int, int]:
     return r, s, t
 
 
-def cmd_kimvu(args) -> int:
+def cmd_kimvu(args) -> dict:
     from . import hyperpoly
-    started = time.monotonic()
     n = args.modulus
     group = Group(n)
-    if args.single_edge:
-        p = as_density(args.prob) if args.prob is not None else Fraction(1, 2)
-        h = hyperpoly.HypergraphPoly(n)
-        h.add_edge((0,))
-        profile = hyperpoly.mu_profile(h, p)
-        payload = _payload("kimvu", {
-            "modulus": n, "single_edge": True, "prob": p,
-        }, args.seed)
-        payload["results"] = {
-            "mu": profile.mu,
-            "mu_max": profile.mu_max,
-            "mu_prime": profile.mu_prime,
-        }
-        _assert_into(payload, "single-edge-profile",
-                     profile.mu[0] == p and profile.mu[1] == 1,
-                     "mu_0 = p, mu_1 = 1")
-        return _finish(payload, args, started)
-
     r, s, t = _kimvu_sizes(args)
     p = Fraction(s, n)
     payload = _payload("kimvu", {
@@ -341,28 +318,29 @@ def cmd_kimvu(args) -> int:
     else:
         _assert_into(payload, "set-vs-bernoulli", True, "empty hypergraph")
     payload["results"] = results
-    return _finish(payload, args, started)
+    return payload
 
 
-def cmd_norms(args) -> int:
+def cmd_norms(args) -> dict:
     from . import embedding, norms
-    started = time.monotonic()
-    if args.demo != "window" and args.dim > embedding.DENSE_DIM_CAP:
-        raise ValueError(f"dim must be at most {embedding.DENSE_DIM_CAP} "
-                         f"for the {args.demo} demo, got {args.dim}")
-    payload = _payload("norms", {"demo": args.demo, "dim": args.dim}, args.seed)
-    if args.demo == "identity":
-        mat = np.eye(args.dim)
-    elif args.demo == "random":
-        rng = stream(args.seed, 23)
-        half = rng.integers(-3, 4, size=(args.dim, args.dim))
-        mat = (half + half.T).astype(np.float64)
-    else:  # window: an aggregated subset-pair matrix
+    params = {"demo": args.demo}
+    if args.demo == "window":  # the 55 x 55 aggregated subset-pair matrix
         group = Group(11)
         rng = stream(args.seed, 24)
         seq = DifferenceSequence.sample(group, 4, rng)
         tau = spawn_signs(rng, 3)
         mat = embedding.aggregate_pair_embeddings(seq, 0, tau, (1, 2, 3), 2, 1).to_dense()
+    else:
+        dim = params["dim"] = 8 if args.dim is None else args.dim
+        if dim > embedding.DENSE_DIM_CAP:
+            raise ValueError(f"dim must be at most {embedding.DENSE_DIM_CAP} "
+                             f"for the {args.demo} demo, got {dim}")
+        if args.demo == "identity":
+            mat = np.eye(dim)
+        else:
+            half = stream(args.seed, 23).integers(-3, 4, size=(dim, dim))
+            mat = (half + half.T).astype(np.float64)
+    payload = _payload("norms", params, args.seed)
     report = norms.norm_report(mat, rng=stream(args.seed, 25))
     payload["results"] = {
         "dim": report.dim, "spectral": report.spectral,
@@ -378,7 +356,7 @@ def cmd_norms(args) -> int:
     if np.array_equal(mat, mat.T):
         _assert_into(payload, "spectral-below-one-to-one",
                      report.spectral <= report.one_to_one + tol)
-    return _finish(payload, args, started)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=_LEDGER_DEFAULT,
                        help="ledger path (append-only)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("critical-size", help="estimate the threshold length m*")
     p.add_argument("--modulus", type=int, required=True)
@@ -433,16 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--prob", default=None)
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--single-edge", action="store_true")
     common(p)
     p.set_defaults(func=cmd_kimvu)
 
     p = sub.add_parser("norms", help="norm report for a demo matrix")
     p.add_argument("--demo", choices=("identity", "random", "window"),
                    default="identity")
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--dim", type=int, default=None,
+                   help="size of the identity or random matrix (default 8); "
+                        "the window matrix has a fixed size")
     common(p)
     p.set_defaults(func=cmd_norms)
     return parser
@@ -457,8 +434,10 @@ def _validate(args) -> str | None:
         return "trials must be positive"
     if not 2 <= getattr(args, "k", 2) <= MAX_PROGRESSION_LENGTH:
         return f"k must lie in [2, {MAX_PROGRESSION_LENGTH}]"
-    if getattr(args, "dim", 1) < 1:
+    if getattr(args, "dim", None) is not None and args.dim < 1:
         return "dim must be positive"
+    if args.command == "norms" and args.demo == "window" and args.dim is not None:
+        return "the window demo builds a fixed 55 x 55 matrix and takes no dim"
     if args.command == "khintchine" and args.dim < 2:
         return "khintchine needs dim at least 2 (its bound has a log d factor)"
     if getattr(args, "count", 1) < 1:
@@ -475,19 +454,15 @@ def _validate(args) -> str | None:
             return "no differences given"
         if not all(0 <= d < args.modulus for d in diffs):
             return f"differences must lie in 0..{args.modulus - 1}"
-    for name, closed in (("epsilon", True), ("prob", False)):
-        text = getattr(args, name, None)
-        if text is None:
-            continue
+    text = getattr(args, "epsilon", None)
+    if text is not None:
         try:
-            val = as_density(text)
+            epsilon = as_density(text)
         except (ValueError, ZeroDivisionError):
-            return f"cannot parse {name} {text!r}"
-        if not 0 < val <= 1 or (val == 1 and not closed):
-            return f"{name} must lie in (0, 1{']' if closed else ')'}"
-    if args.command == "kimvu" and not args.single_edge:
-        if args.prob is not None:
-            return "prob applies only with --single-edge (otherwise p = s/N)"
+            return f"cannot parse epsilon {text!r}"
+        if not 0 < epsilon <= 1:
+            return "epsilon must lie in (0, 1]"
+    if args.command == "kimvu":
         # the preconditions of ApParams.r and verify_set_vs_bernoulli at p = s/N
         if args.k % 2 == 0:
             return "half-length r requires odd k"
@@ -505,8 +480,9 @@ def main(argv=None) -> int:
     problem = _validate(args)
     if problem is not None:
         parser.error(problem)  # exits 2
+    started = time.monotonic()
     try:
-        return args.func(args)
+        return _finish(args.func(args), args.out, started)
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

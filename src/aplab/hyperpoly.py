@@ -119,10 +119,6 @@ class MuProfile:
     def mu_max(self) -> Fraction:
         return max(self.mu)
 
-    @property
-    def mu_prime(self) -> Fraction:
-        return max(self.mu[1:], default=Fraction(0))
-
 
 def mu_profile(h: HypergraphPoly, p) -> MuProfile:
     """Exact worst-case conditional expectations per fixed-set size.

@@ -1,9 +1,10 @@
 """Deterministic run records and the append-only ledger.
 
-Records serialize to single-line JSON with floats at 17 significant
-digits, so identical runs produce byte-identical lines and every float
-round-trips exactly.  Exact rationals are carried as "num/den" strings.
-The ledger is one record per line, append-only, at a configurable path.
+Records have one serialization: single-line JSON with floats at 17
+significant digits, so identical runs produce byte-identical lines and
+every float round-trips exactly.  Exact rationals are carried as
+"num/den" strings.  The ledger is one record per line, append-only, at
+a configurable path.
 """
 from __future__ import annotations
 
@@ -59,51 +60,3 @@ def iter_ledger(path: str) -> Iterator[dict]:
             if line:
                 yield json.loads(line)
 
-
-def _flatten(prefix: str, value, rows: list) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, (list, tuple)):
-        for idx, v in enumerate(value):
-            _flatten(f"{prefix}[{idx}]", v, rows)
-    else:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, (float, np.floating)):
-            text = format_float(float(value))
-        elif isinstance(value, Fraction):
-            text = f"{value.numerator}/{value.denominator}"
-        elif value is None:
-            text = ""
-        else:
-            text = str(value)
-        rows.append((prefix, text))
-
-
-def record_to_csv(record: dict) -> str:
-    """CSV view of a record.
-
-    Threshold runs flatten their probe curve to one row per m; other
-    commands emit two-column key/value rows over the flattened payload.
-    """
-    results = record.get("results", {})
-    curve = results.get("curve") if isinstance(results, dict) else None
-    lines = []
-    if isinstance(curve, (list, tuple)) and curve and isinstance(curve[0], dict):
-        cols = list(curve[0].keys())
-        lines.append(",".join(cols))
-        for point in curve:
-            cells = []
-            for c in cols:
-                v = point[c]
-                cells.append(format_float(float(v))
-                             if isinstance(v, (float, np.floating)) else str(v))
-            lines.append(",".join(cells))
-    else:
-        rows: list = []
-        _flatten("", record, rows)
-        lines.append("key,value")
-        for key, text in rows:
-            lines.append(f"{key},{text}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 """End-to-end subcommand behavior through main(argv)."""
+import hashlib
 import json
 import os
 import subprocess
@@ -38,15 +39,27 @@ def test_critical_size_payload(capsys, tmp_path):
 
 
 def test_ledger_carries_wall_time(capsys, tmp_path):
-    _, out = run_cli(capsys, tmp_path, "norms", "--demo", "identity", "--dim", "4")
+    """main alone prints and ledgers: one row per payload, none for a failed build."""
+    runs = (["critical-size", "--modulus", "5", "--trials", "5"],
+            ["check", "--modulus", "5", "--differences", "1"],
+            ["verify"],
+            ["khintchine", "--dim", "4", "--count", "2", "--trials", "5"],
+            ["kimvu", "--trials", "20"],
+            ["norms", "--demo", "identity", "--dim", "4"])
+    for argv in runs:
+        code, out = run_cli(capsys, tmp_path, *argv)
+        assert code == 0, argv
+        # stdout stays free of timing and memory so repeated runs compare byte-equal
+        assert "wall_time_s" not in out and "peak_rss_mb" not in out, argv
+    # a dimension past the dense cap fails before any payload exists
+    code, out = run_cli(capsys, tmp_path, "norms", "--dim",
+                        str(embedding.DENSE_DIM_CAP + 1))
+    assert (code, out) == (1, "")
     rows = list(iter_ledger(str(tmp_path / "runs.ledger")))
-    assert len(rows) == 1
-    assert rows[0]["wall_time_s"] >= 0.0
-    assert rows[0]["peak_rss_mb"] > 0.0
-    assert "command" in rows[0]
-    # stdout stays free of timing and memory so repeated runs compare byte-equal
-    assert "wall_time_s" not in out
-    assert "peak_rss_mb" not in out
+    assert [row["command"] for row in rows] == [argv[0] for argv in runs]
+    for row in rows:
+        assert row["wall_time_s"] >= 0.0
+        assert row["peak_rss_mb"] > 0.0
 
 
 def test_check_known_cases(capsys, tmp_path):
@@ -136,13 +149,6 @@ def test_khintchine_ratio_below_one(capsys, tmp_path):
     assert payload["results"]["mean_norm"] <= payload["results"]["bound"]
 
 
-def test_kimvu_single_edge(capsys, tmp_path):
-    code, out = run_cli(capsys, tmp_path, "kimvu", "--single-edge")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["results"]["mu"] == ["1/2", "1/1"]
-
-
 def test_kimvu_instance(capsys, tmp_path):
     code, out = run_cli(capsys, tmp_path, "kimvu", "--modulus", "11",
                         "--m", "4", "--seed", "2", "--trials", "200")
@@ -178,16 +184,6 @@ def test_norms_random_demo_is_the_dense_spectral_norm(capsys, tmp_path):
             <= 600 * results["spectral"])
 
 
-def test_csv_output_format(capsys, tmp_path):
-    code, out = run_cli(capsys, tmp_path, "critical-size", "--modulus", "5",
-                        "--epsilon", "1.0", "--trials", "50", "--seed", "1",
-                        "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "m,trials,successes,p_hat,ci_low,ci_high"
-    assert len(lines) >= 2
-
-
 def test_usage_errors_exit_two(capsys, tmp_path):
     for argv in (["critical-size", "--modulus", "0"],
                  ["critical-size", "--modulus", "5", "--epsilon", "1.5"],
@@ -196,13 +192,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["check", "--modulus", "7", "--differences", "9"],
                  ["check", "--modulus", "7", "--differences", ","],
                  ["kimvu", "--m", "0"],
-                 ["kimvu", "--single-edge", "--prob", "abc"],
-                 ["kimvu", "--single-edge", "--prob", "2"],
                  ["kimvu", "--k", "4"],
                  ["critical-size", "--modulus", "5", "--k", "21"],
                  ["kimvu", "--s", "1"],
-                 ["kimvu", "--prob", "0.3"],
-                 ["khintchine", "--dim", "1"]):
+                 ["khintchine", "--dim", "1"],
+                 ["norms", "--dim", "0"],
+                 ["norms", "--demo", "window", "--dim", "8"],
+                 ["norms", "--demo", "window", "--dim", "55"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
@@ -210,6 +206,17 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert captured.err.strip(), argv
         assert captured.out == "", argv
     assert not (tmp_path / "runs.ledger").exists()
+
+
+def test_norms_window_demo_reports_its_own_size(capsys, tmp_path):
+    """The window matrix is the fixed 55 x 55 aggregate; its params name no dim."""
+    code, out = run_cli(capsys, tmp_path, "norms", "--demo", "window")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["params"] == {"demo": "window"}
+    assert payload["results"]["dim"] == 55
+    _, out = run_cli(capsys, tmp_path, "norms", "--demo", "random")
+    assert json.loads(out)["params"] == {"demo": "random", "dim": 8}
 
 
 def test_norms_accepts_dim_one(capsys, tmp_path):
@@ -233,7 +240,8 @@ def test_norms_rejects_dim_above_dense_cap(capsys, tmp_path):
 
 
 def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
-    """The exact limit, collision slack and dimension cap are constants, not flags."""
+    """The exact limit, collision slack and dimension cap are constants, not flags,
+    and JSON is the only output format and kimvu has only its instance mode."""
     commands = (["critical-size", "--modulus", "5"],
                 ["check", "--modulus", "7", "--differences", "1"],
                 ["verify"], ["khintchine"], ["kimvu"], ["norms"])
@@ -245,7 +253,11 @@ def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
                         ["verify", "--collision-slack", "-2"],
                         ["verify", "--dimension-cap", "-3"],
                         ["verify", "--dimension-cap", "0"],
-                        ["norms", "--dimension-cap", "0"]]:
+                        ["norms", "--dimension-cap", "0"],
+                        ["critical-size", "--modulus", "5", "--format", "csv"],
+                        ["verify", "--format", "json"],
+                        ["kimvu", "--single-edge"],
+                        ["kimvu", "--prob", "0.3"]]:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
@@ -374,3 +386,18 @@ def test_norms_stdout_does_not_depend_on_blas_threads(tmp_path):
     default = fresh_interpreter(args).stdout
     assert '"spectral":' in default
     assert default == fresh_interpreter(args, OPENBLAS_NUM_THREADS="1").stdout
+
+
+WORKLOADS = json.loads((Path(__file__).resolve().parent.parent
+                        / "perfbench" / "workloads.json").read_text(encoding="ascii"))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_pins_hold_at_the_default_seed(tmp_path, workload):
+    """Each benchmark op prints the stdout pinned by digest for its default CLI seed."""
+    spec = WORKLOADS[workload]
+    seed = str(spec["default_cli_seed"])
+    for argv, pinned in zip(spec["ops"], spec["digests"][seed], strict=True):
+        stdout = fresh_interpreter(["-m", "aplab.cli", *argv, "--seed", seed,
+                                    "--out", str(tmp_path / "runs.ledger")]).stdout
+        assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == pinned, argv

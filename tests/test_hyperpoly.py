@@ -83,7 +83,6 @@ def test_mu_profile_matches_brute_force():
         for i in range(len(prof.mu)):
             assert prof.mu[i] == brute_mu(h, p, i)
         assert prof.mu_max == max(prof.mu)
-        assert prof.mu_prime == max(prof.mu[1:])
 
 
 def test_mu_profile_known_values():

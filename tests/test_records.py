@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aplab.records import (VERSION, append_ledger, dumps_record, format_float,
-                           iter_ledger, record_to_csv)
+from aplab.records import append_ledger, dumps_record, format_float, iter_ledger
 
 
 def test_float_formatting_is_shortest_exact():
@@ -62,28 +61,3 @@ def test_ledger_round_trip(tmp_path):
     append_ledger(str(path), {"command": "b"})
     assert len(list(iter_ledger(str(path)))) == 4
 
-
-def test_csv_flattens_probe_curve():
-    rec = {"command": "critical-size", "params": {"modulus": 5}, "seed": 1,
-           "results": {"m_star": 2, "curve": [
-               {"m": 1, "trials": 100, "successes": 20, "p_hat": 0.2,
-                "ci_low": 0.1, "ci_high": 0.3},
-               {"m": 2, "trials": 100, "successes": 60, "p_hat": 0.6,
-                "ci_low": 0.5, "ci_high": 0.7}]},
-           "version": VERSION}
-    text = record_to_csv(rec)
-    lines = text.strip().splitlines()
-    assert lines[0] == "m,trials,successes,p_hat,ci_low,ci_high"
-    assert len(lines) == 3
-    assert lines[1].startswith("1,100,20,")
-    assert "0.59999999999999998" in lines[2]  # 17 significant digits
-
-
-def test_csv_generic_flatten():
-    rec = {"command": "norms", "params": {"dim": 3}, "seed": 0,
-           "results": {"spectral": 1.0, "tags": ["a", "b"]},
-           "version": VERSION}
-    text = record_to_csv(rec)
-    assert "params.dim,3" in text
-    assert "results.spectral,1" in text
-    assert "results.tags[0],a" in text
