@@ -81,12 +81,8 @@ def cmd_critical_size(args) -> dict:
     }, args.seed)
     est = intersectivity.estimate_critical_size(
         group, params, trials_per_m=args.trials, seed=args.seed)
-    payload["results"] = {
-        "m_star": est.m_star,
-        "curve": [{"m": p.m, "trials": p.trials, "successes": p.successes,
-                   "p_hat": p.p_hat, "ci_low": p.ci_low, "ci_high": p.ci_high}
-                  for p in est.curve],
-    }
+    payload["results"] = {"m_star": est.m_star,
+                          "curve": [p._asdict() for p in est.curve]}
     return payload
 
 
@@ -276,13 +272,14 @@ def cmd_khintchine(args) -> dict:
 
 
 def _kimvu_sizes(args) -> tuple[int, int, int]:
-    """Half-length r, set size s and fixed-set budget t of a kimvu run."""
+    """Half-length r, set size s and fixed-set budget t of a kimvu run.
+
+    s is at least 4r, so t = s // 2 is at least 2r, the size of every
+    edge: the set-side average stays away from the trivial zero case.
+    """
     r = ApParams(args.k).r
-    # default block size keeps the set-side average away from the trivial
-    # zero case (t must exceed the largest edge minus one)
-    s = args.s if args.s is not None else max(4 * r, default_block_size(args.modulus, args.k))
-    t = args.t if args.t is not None else max(2 * r, s // 2)
-    return r, s, t
+    s = max(4 * r, default_block_size(args.modulus, args.k))
+    return r, s, s // 2
 
 
 def cmd_kimvu(args) -> dict:
@@ -341,7 +338,7 @@ def cmd_norms(args) -> dict:
             half = stream(args.seed, 23).integers(-3, 4, size=(dim, dim))
             mat = (half + half.T).astype(np.float64)
     payload = _payload("norms", params, args.seed)
-    report = norms.norm_report(mat, rng=stream(args.seed, 25))
+    report = norms.norm_report(mat, stream(args.seed, 25))
     payload["results"] = {
         "dim": report.dim, "spectral": report.spectral,
         "one_to_one": report.one_to_one,
@@ -366,68 +363,59 @@ def cmd_norms(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aplab",
-        description="Experiments on progression-forcing random difference sets")
+        description="Experiments on progression-forcing random difference sets",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        """A subcommand's parser, holding the flags that every subcommand takes."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=_LEDGER_DEFAULT,
                        help="ledger path (append-only)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("critical-size", help="estimate the threshold length m*")
+    p = command("critical-size", cmd_critical_size, "estimate the threshold length m*")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--epsilon", default="0.5")
     p.add_argument("--trials", type=int, default=200)
-    common(p)
-    p.set_defaults(func=cmd_critical_size)
 
-    p = sub.add_parser("check", help="decide intersectivity of explicit differences")
+    p = command("check", cmd_check, "decide intersectivity of explicit differences")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--epsilon", default="0.5")
     p.add_argument("--differences", required=True,
                    help="comma-separated difference list")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("verify", help="run the identity and inequality suite")
+    p = command("verify", cmd_verify, "run the identity and inequality suite")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one matrix entry to exercise failure reporting")
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("khintchine", help="random sign-sum spectral norm bench")
+    p = command("khintchine", cmd_khintchine, "random sign-sum spectral norm bench")
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--trials", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_khintchine)
 
-    p = sub.add_parser("kimvu", help="hypergraph moment profiles and tails")
+    p = command("kimvu", cmd_kimvu, "hypergraph moment profiles and tails")
     p.add_argument("--modulus", type=int, default=11)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
     p.add_argument("--trials", type=int, default=2000)
-    common(p)
-    p.set_defaults(func=cmd_kimvu)
 
-    p = sub.add_parser("norms", help="norm report for a demo matrix")
+    p = command("norms", cmd_norms, "norm report for a demo matrix")
     p.add_argument("--demo", choices=("identity", "random", "window"),
                    default="identity")
     p.add_argument("--dim", type=int, default=None,
                    help="size of the identity or random matrix (default 8); "
                         "the window matrix has a fixed size")
-    common(p)
-    p.set_defaults(func=cmd_norms)
     return parser
 
 
 def _validate(args) -> str | None:
-    if args.seed < 0:
-        return "seed must be non-negative"
+    if not 0 <= args.seed < 1 << 64:
+        return "seed must lie in [0, 2^64)"
     if getattr(args, "modulus", 1) < 1:
         return "modulus must be positive"
     if getattr(args, "trials", 1) < 1:
@@ -466,11 +454,9 @@ def _validate(args) -> str | None:
         # the preconditions of ApParams.r and verify_set_vs_bernoulli at p = s/N
         if args.k % 2 == 0:
             return "half-length r requires odd k"
-        _, s, t = _kimvu_sizes(args)
-        if not 0 < s < args.modulus:
-            return f"s must lie in 1..{args.modulus - 1}, got {s}"
-        if not 0 <= t <= s / 2:
-            return f"need 0 <= t <= s/2, got t={t} and s={s}"
+        _, s, _ = _kimvu_sizes(args)
+        if s >= args.modulus:
+            return f"modulus must exceed the set size s={s}"
     return None
 
 

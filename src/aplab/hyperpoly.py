@@ -25,31 +25,27 @@ from .groups import as_density, single_support
 
 
 class HypergraphPoly:
-    """Vertex count plus an edge multiset, edges stored sorted."""
+    """Vertex count plus a multiset of non-empty edges, each stored sorted."""
 
-    __slots__ = ("n", "_edges", "_const", "_csr")
+    __slots__ = ("n", "_edges")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
         self._edges: dict[tuple[int, ...], int] = {}
-        self._const = 0  # multiplicity of the empty edge, a constant term
-        self._csr = None
 
     def add_edge(self, vertices: Iterable[int], mult: int = 1) -> None:
         if mult < 1:
             raise ValueError("multiplicity must be positive")
         edge = tuple(sorted(int(v) for v in vertices))
+        if not edge:
+            raise ValueError("an edge needs at least one vertex")
         if len(set(edge)) != len(edge):
             raise ValueError("edge vertices must be distinct")
-        if edge and not (0 <= edge[0] and edge[-1] < self.n):
+        if not (0 <= edge[0] and edge[-1] < self.n):
             raise ValueError("edge vertex outside 0..n-1")
-        if not edge:
-            self._const += mult
-        else:
-            self._edges[edge] = self._edges.get(edge, 0) + mult
-        self._csr = None
+        self._edges[edge] = self._edges.get(edge, 0) + mult
 
     def edges(self) -> list[tuple[tuple[int, ...], int]]:
         """Distinct edges with multiplicities, sorted."""
@@ -57,18 +53,16 @@ class HypergraphPoly:
 
     def edge_count(self) -> int:
         """Total number of edges counted with multiplicity."""
-        return self._const + sum(self._edges.values())
+        return sum(self._edges.values())
 
     def max_edge_size(self) -> int:
         return max((len(e) for e in self._edges), default=0)
 
     def _arrays(self):
-        if self._csr is None:
-            keys = sorted(self._edges)
-            ptr, vtx, _, _ = _kernels.csr_incidence(keys, self.n)
-            mult = np.array([self._edges[e] for e in keys], dtype=np.int64)
-            self._csr = (ptr, vtx, mult)
-        return self._csr
+        """Edge pointers, vertices and multiplicities in CSR form."""
+        keys = sorted(self._edges)
+        ptr, vtx, _, _ = _kernels.csr_incidence(keys, self.n)
+        return ptr, vtx, np.array([self._edges[e] for e in keys], dtype=np.int64)
 
     def __repr__(self) -> str:
         return (f"HypergraphPoly(n={self.n}, edges={self.edge_count()}, "
@@ -83,7 +77,7 @@ def poly_value(h: HypergraphPoly, x) -> int:
     if arr.max(initial=0) > 1:
         raise ValueError("input entries must be 0 or 1")
     ptr, vtx, mult = h._arrays()
-    return h._const + int(_kernels.poly_eval01_kernel(ptr, vtx, mult, arr))
+    return int(_kernels.poly_eval01_kernel(ptr, vtx, mult, arr))
 
 
 def partial_value(h: HypergraphPoly, fixed: Iterable[int], x) -> int:
@@ -96,7 +90,7 @@ def partial_value(h: HypergraphPoly, fixed: Iterable[int], x) -> int:
     arr = np.ascontiguousarray(x, dtype=np.uint8)
     if arr.shape != (h.n,):
         raise ValueError(f"input must have length {h.n}")
-    total = h._const if not a else 0
+    total = 0
     for edge, mult in h._edges.items():
         es = frozenset(edge)
         if not a <= es:
@@ -132,7 +126,7 @@ def mu_profile(h: HypergraphPoly, p) -> MuProfile:
         raise ValueError("p must lie strictly between 0 and 1")
     kmax = h.max_edge_size()
     powers = [pf ** j for j in range(kmax + 1)]
-    acc: dict[tuple[int, ...], Fraction] = {(): Fraction(h._const)}
+    acc: dict[tuple[int, ...], Fraction] = {}
     for edge, mult in h._edges.items():
         size = len(edge)
         for take in range(size + 1):
@@ -239,7 +233,7 @@ def bernoulli_average(h: HypergraphPoly, p) -> Fraction:
     pf = as_density(p)
     if not 0 < pf < 1:
         raise ValueError("p must lie strictly between 0 and 1")
-    total = Fraction(h._const)
+    total = Fraction(0)
     for edge, mult in h._edges.items():
         total += mult * pf ** len(edge)
     return total
@@ -250,7 +244,7 @@ def set_average_exact(h: HypergraphPoly, t: int) -> Fraction:
     if not 0 <= t <= h.n:
         raise ValueError("subset size outside 0..n")
     denom = comb(h.n, t)
-    total = Fraction(h._const)
+    total = Fraction(0)
     for edge, mult in h._edges.items():
         size = len(edge)
         if size <= t:
@@ -314,7 +308,7 @@ def tail_probe(h: HypergraphPoly, t: int, mu_max: Fraction,
     ptr, vtx, mult = h._arrays()
     # blocks of rows keep the gathered (rows, incidences) array near 1 MB
     block = max(1, (1 << 20) // max(len(vtx), 1))
-    values = h._const + np.concatenate(
+    values = np.concatenate(
         [_kernels.poly_eval01_kernel(ptr, vtx, mult, rows[lo:lo + block])
          for lo in range(0, trials, block)])
     return tuple(int(np.count_nonzero(values >= ceil(c * scale * mu))) / trials

@@ -311,19 +311,13 @@ def estimate_critical_size(group: Group, params: ApParams, *,
         raise ValueError("trials_per_m must be at least 1")
     cap = max(64, 8 * group.modulus)
     curve: dict[int, list[int]] = {}
-    offsets: dict[int, int] = {}
 
-    def probe(m: int, count: int):
-        off = offsets.get(m, 0)
-        got = run_trials(group, params, m, count, seed, offset=off)
-        offsets[m] = off + count
+    def probe(m: int, count: int) -> float:
+        """Run the next ``count`` trials at m; the aggregated rate at m."""
         entry = curve.setdefault(m, [0, 0])
+        entry[1] += run_trials(group, params, m, count, seed, offset=entry[0])
         entry[0] += count
-        entry[1] += got
-
-    def p_hat(m: int) -> float:
-        t, s = curve[m]
-        return s / t
+        return entry[1] / entry[0]
 
     def qualifier() -> Optional[int]:
         for m in sorted(curve):
@@ -332,25 +326,22 @@ def estimate_critical_size(group: Group, params: ApParams, *,
                 return m
         return None
 
-    probe(1, trials_per_m)
     m = 1
     lo = 0
-    while p_hat(m) < 0.5:
+    while probe(m, trials_per_m) < 0.5:
         if m >= cap:
             raise RuntimeError(f"intersectivity rate stayed below 1/2 up to m={cap}")
         lo = m
         m = min(2 * m, cap)
-        probe(m, trials_per_m)
     hi = m
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe(mid, trials_per_m)
-        if p_hat(mid) >= 0.5:
+        if probe(mid, trials_per_m) >= 0.5:
             hi = mid
         else:
             lo = mid
     cand = hi
-    probe(cand, 4 * trials_per_m)
+    rate = probe(cand, 4 * trials_per_m)
     if cand > 1:
         probe(cand - 1, trials_per_m)
     probe(cand + 1, trials_per_m)
@@ -360,9 +351,9 @@ def estimate_critical_size(group: Group, params: ApParams, *,
         rounds += 1
         if rounds > _STABILIZE_ROUNDS or cand > cap:
             raise RuntimeError("critical size estimate failed to stabilize")
-        if p_hat(cand) < 0.5:
+        if rate < 0.5:
             cand += 1
-        probe(cand, 4 * trials_per_m)
+        rate = probe(cand, 4 * trials_per_m)
         chosen = qualifier()
     points = tuple(
         ProbePoint(m, t, s, s / t, *wilson_interval(s, t))

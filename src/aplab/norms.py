@@ -69,8 +69,16 @@ def _sign_plus(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inf_to_one_bracket(a: np.ndarray, spectral: float, rng) -> tuple[float, float]:
-    """``inf_to_one_bounds`` on a square array with its spectral norm given."""
+def inf_to_one_bounds(mat, spectral: float, rng) -> tuple[float, float]:
+    """Bracket for the inf->1 norm of a large matrix with spectral norm ``spectral``.
+
+    Lower bound: alternating ascent u -> sign(Mv), v -> sign(M^T u) from
+    the all-ones start and ``ASCENT_RESTARTS`` random starts drawn from
+    ``rng``; each iterate is a feasible sign pair, so the lower end is
+    certified.  Upper end: the smaller of the total l1 mass of the
+    entries and dim times the spectral norm, which holds up to rounding.
+    """
+    a = _square(mat)
     dim = a.shape[0]
     if dim == 0:
         return 0.0, 0.0
@@ -89,24 +97,9 @@ def _inf_to_one_bracket(a: np.ndarray, spectral: float, rng) -> tuple[float, flo
         return val
 
     lower = ascend(np.ones(dim, dtype=np.float64))
-    if rng is not None:
-        for _ in range(ASCENT_RESTARTS):
-            lower = max(lower, ascend(spawn_signs(rng, dim).astype(np.float64)))
+    for _ in range(ASCENT_RESTARTS):
+        lower = max(lower, ascend(spawn_signs(rng, dim).astype(np.float64)))
     return lower, upper
-
-
-def inf_to_one_bounds(mat, rng=None) -> tuple[float, float]:
-    """Bracket for the inf->1 norm of a large matrix.
-
-    Lower bound: alternating ascent u -> sign(Mv), v -> sign(M^T u) from
-    the all-ones start plus ``ASCENT_RESTARTS`` random starts when a
-    generator is given; each iterate is a feasible sign pair, so the
-    lower end is certified.  Upper end: the smaller of the total l1 mass
-    of the entries and dim times the spectral norm, which holds up to
-    rounding.
-    """
-    arr = _square(mat)
-    return _inf_to_one_bracket(arr, spectral_norm(arr), rng)
 
 
 def one_to_one_norm(mat) -> float:
@@ -124,10 +117,11 @@ class NormReport:
     inf_to_one_exact: Optional[float]  # set when the dimension allows enumeration
 
 
-def norm_report(mat, *, rng=None) -> NormReport:
+def norm_report(mat, rng) -> NormReport:
     """All three norms, with the inf->1 value exact when small enough.
 
-    The spectral norm is solved once; the inf->1 bracket reuses it.
+    The spectral norm is solved once; the inf->1 bracket reuses it and
+    draws its ascent starts from ``rng``.
     """
     arr = _square(mat)
     dim = arr.shape[0]
@@ -137,7 +131,7 @@ def norm_report(mat, *, rng=None) -> NormReport:
         exact, _ = inf_to_one_exact(arr)
         lower = upper = exact
     else:
-        lower, upper = _inf_to_one_bracket(arr, spec, rng)
+        lower, upper = inf_to_one_bounds(arr, spec, rng)
     return NormReport(dim, spec, one_to_one_norm(arr), lower, upper, exact)
 
 

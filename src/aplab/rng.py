@@ -20,14 +20,17 @@ def stream(seed: int, major: int = 0, minor: int = 0) -> Generator:
     ``major`` and ``minor`` are packed into the second 64-bit key word as
     ``major * 2**32 + minor``, so distinct pairs below 2**32 never collide.
     Typical usage gives each probed parameter its own major id and each
-    trial its own minor id.
+    trial its own minor id.  ``seed`` is the first key word, so it must
+    lie in [0, 2**64): a larger seed would alias a smaller one.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("stream seed out of range")
     if not 0 <= major <= _MASK32:
         raise ValueError("stream major id out of range")
     if not 0 <= minor <= _MASK32:
         raise ValueError("stream minor id out of range")
     sub = (major << 32) | minor
-    key = np.array([seed & _MASK64, sub], dtype=np.uint64)
+    key = np.array([seed, sub], dtype=np.uint64)
     return Generator(Philox(key=key))
 
 

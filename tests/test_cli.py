@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior through main(argv)."""
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -195,6 +196,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["kimvu", "--k", "4"],
                  ["critical-size", "--modulus", "5", "--k", "21"],
                  ["kimvu", "--s", "1"],
+                 ["check", "--modulus", "7", "--differences", "1", "--seed", "-1"],
+                 ["check", "--modulus", "7", "--differences", "1",
+                  "--seed", str(2**64 + 1)],
                  ["khintchine", "--dim", "1"],
                  ["norms", "--dim", "0"],
                  ["norms", "--demo", "window", "--dim", "8"],
@@ -241,7 +245,8 @@ def test_norms_rejects_dim_above_dense_cap(capsys, tmp_path):
 
 def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
     """The exact limit, collision slack and dimension cap are constants, not flags,
-    and JSON is the only output format and kimvu has only its instance mode."""
+    JSON is the only output format, kimvu derives s and t, and no flag may be
+    abbreviated."""
     commands = (["critical-size", "--modulus", "5"],
                 ["check", "--modulus", "7", "--differences", "1"],
                 ["verify"], ["khintchine"], ["kimvu"], ["norms"])
@@ -257,7 +262,9 @@ def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
                         ["critical-size", "--modulus", "5", "--format", "csv"],
                         ["verify", "--format", "json"],
                         ["kimvu", "--single-edge"],
-                        ["kimvu", "--prob", "0.3"]]:
+                        ["kimvu", "--prob", "0.3"],
+                        ["kimvu", "--t", "3"],
+                        ["critical-size", "--mod", "7", "--trials", "5"]]:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
@@ -401,3 +408,23 @@ def test_benchmark_pins_hold_at_the_default_seed(tmp_path, workload):
         stdout = fresh_interpreter(["-m", "aplab.cli", *argv, "--seed", seed,
                                     "--out", str(tmp_path / "runs.ledger")]).stdout
         assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == pinned, argv
+
+
+def test_trace_hooks_fit_the_package(tmp_path, monkeypatch):
+    """Each workload's default-seed pass runs clean under ``perfbench/traced.py``.
+
+    The tracer patches package functions by name and reads some kernel
+    arguments by position, so a rename or a moved argument shows up here
+    as a failed op: a nonzero exit, a changed digest or decision counts
+    that no longer add up.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    for workload, wspec in sorted(run.WORKLOADS.items()):
+        done = run.run_pass(wspec, wspec["default_cli_seed"], str(tmp_path), traced=True)
+        assert [op.problems for op in done.ops] == [[] for _ in done.ops], workload

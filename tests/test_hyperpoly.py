@@ -25,6 +25,9 @@ def test_hypergraph_construction():
         h.add_edge((0, 0))
     with pytest.raises(ValueError):
         h.add_edge((5,))
+    with pytest.raises(ValueError):
+        h.add_edge(())  # no constant term
+    assert h.edge_count() == 5
 
 
 def test_poly_value_brute_force():

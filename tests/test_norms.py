@@ -69,11 +69,11 @@ def test_inf_to_one_bounds_sandwich():
         d = int(rng.integers(2, 12))
         mat = rng.integers(-5, 6, size=(d, d)).astype(np.float64)
         exact, _ = N.inf_to_one_exact(mat)
-        lo, up = N.inf_to_one_bounds(mat, rng=rng)
+        lo, up = N.inf_to_one_bounds(mat, N.spectral_norm(mat), rng)
         assert lo <= exact + 1e-9
         assert exact <= up + 1e-9
     dim = 600
-    lo, up = N.inf_to_one_bounds(np.eye(dim), rng=rng)
+    lo, up = N.inf_to_one_bounds(np.eye(dim), 1.0, rng)
     assert lo == dim
     assert lo <= up
 
@@ -104,14 +104,14 @@ def test_norm_report_consistency():
     rng = stream(83, 4)
     half = rng.integers(-3, 4, size=(10, 10))
     mat = (half + half.T).astype(np.float64)
-    rep = N.norm_report(mat)
+    rep = N.norm_report(mat, rng)
     assert rep.dim == 10
     assert rep.inf_to_one_exact is not None
     assert rep.inf_to_one_lower == rep.inf_to_one_exact == rep.inf_to_one_upper
     assert rep.inf_to_one_exact <= rep.dim * rep.spectral + 1e-6
     assert rep.spectral <= rep.one_to_one + 1e-9
     big = rng.standard_normal((30, 30))
-    rep2 = N.norm_report(big, rng=rng)
+    rep2 = N.norm_report(big, rng)
     assert rep2.inf_to_one_exact is None
     assert rep2.inf_to_one_lower <= rep2.inf_to_one_upper
 
@@ -127,7 +127,7 @@ def test_norm_report_solves_the_spectral_norm_once(monkeypatch):
     monkeypatch.setattr(N, "spectral_norm", counted)
     big = stream(83, 9).standard_normal((30, 30))
     assert 30 > _kernels.ENUM_LIMIT  # the inf->1 bracket path
-    rep = N.norm_report(big, rng=stream(83, 10))
+    rep = N.norm_report(big, stream(83, 10))
     assert calls == [(30, 30)]
     assert rep.spectral == pytest.approx(np.linalg.norm(big, 2))
     assert rep.inf_to_one_lower <= rep.inf_to_one_upper
@@ -139,7 +139,7 @@ def test_enumeration_limit_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(_kernels, "ENUM_LIMIT", 4)
     with pytest.raises(ValueError):
         N.inf_to_one_exact(mat)
-    rep = N.norm_report(mat)
+    rep = N.norm_report(mat, stream(83, 12))
     assert rep.inf_to_one_exact is None
     assert rep.inf_to_one_lower == 5.0
 
