@@ -2,11 +2,12 @@
 
 Each subcommand handler builds and returns a structured payload
 (command, params, seed, results, assertions, version); ``main`` alone
-prints it to stdout as one line of JSON and appends it, with the wall
-time since dispatch and the peak RSS, to the run ledger.  Payloads are
+appends it, with the wall time since dispatch and the peak RSS, to the
+run ledger, and only then prints it to stdout as one line of JSON, so a
+ledger that cannot be written leaves stdout empty.  Payloads are
 deterministic for a fixed (command, config, seed); wall time and peak
 RSS live only in the ledger copy.  Exit codes: 0 success, 1 failed
-assertion or runtime error, 2 usage.
+assertion, runtime error or unwritable ledger, 2 usage.
 
 Every command runs in a fresh interpreter, where start-up is a large
 share of a short run, so the module level holds only what every
@@ -55,14 +56,14 @@ def _difference_list(text: str) -> tuple[int, ...]:
 
 
 def _finish(payload: dict, out: str, started: float) -> int:
-    """Print ``payload``, ledger it with its run cost, and return the exit code."""
+    """Ledger ``payload`` with its run cost, then print it; return the exit code."""
     import resource
-    sys.stdout.write(dumps_record(payload) + "\n")
     ledger_rec = dict(payload)
     ledger_rec["wall_time_s"] = time.monotonic() - started
     # ru_maxrss is in KiB on Linux; MB here means MiB, as perfbench reports it
     ledger_rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     append_ledger(out, ledger_rec)
+    sys.stdout.write(dumps_record(payload) + "\n")
     return 0 if all(a["pass"] for a in payload["assertions"]) else 1
 
 
@@ -253,6 +254,9 @@ def cmd_verify(args) -> dict:
 
 def cmd_khintchine(args) -> dict:
     from . import norms
+    if args.count * args.dim ** 2 > norms.DENSE_DIM_CAP ** 2:
+        raise ValueError(f"count * dim^2 must be at most {norms.DENSE_DIM_CAP}^2, "
+                         f"the size of one matrix at the dense cap")
     payload = _payload("khintchine", {
         "dim": args.dim, "count": args.count, "trials": args.trials,
     }, args.seed)
@@ -329,8 +333,8 @@ def cmd_norms(args) -> dict:
         mat = embedding.aggregate_pair_embeddings(seq, 0, tau, (1, 2, 3), 2, 1).to_dense()
     else:
         dim = params["dim"] = 8 if args.dim is None else args.dim
-        if dim > embedding.DENSE_DIM_CAP:
-            raise ValueError(f"dim must be at most {embedding.DENSE_DIM_CAP} "
+        if dim > norms.DENSE_DIM_CAP:
+            raise ValueError(f"dim must be at most {norms.DENSE_DIM_CAP} "
                              f"for the {args.demo} demo, got {dim}")
         if args.demo == "identity":
             mat = np.eye(dim)
@@ -469,7 +473,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         return _finish(args.func(args), args.out, started)
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

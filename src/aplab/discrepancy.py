@@ -145,8 +145,10 @@ def _enumerate(terms, base, n, signed: bool):
 
     A term with coefficient c on support t is worth c * (-1)^j on the
     {-1,+1} cube and c * [j = |t|] on the {0,1} cube, where j counts the
-    support points set to -1 or to 1.
+    support points set to -1 or to 1.  Needs n <= ``_kernels.ENUM_LIMIT``.
     """
+    if n > _kernels.ENUM_LIMIT:
+        raise ValueError(f"exact enumeration limited to N <= {_kernels.ENUM_LIMIT}")
     involved, coef, local = _term_arrays(terms)
     witness = np.zeros(n, dtype=np.int64)  # 1 marks a -1 or a member
     best = abs(base)
@@ -163,6 +165,12 @@ def _enumerate(terms, base, n, signed: bool):
     return best, 1 - 2 * witness if signed else witness
 
 
+def _maximize(seq: DifferenceSequence, sigma, k: int, signed: bool) -> SignSearchResult:
+    n = seq.group.modulus
+    best, witness = _enumerate(*_terms(seq, sigma, k, signed), n, signed)
+    return SignSearchResult(Fraction(best, len(seq) * n), witness)
+
+
 def max_over_signs(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
     """Maximize |signed objective| over Z in {-1,+1}^N, exactly.
 
@@ -170,22 +178,12 @@ def max_over_signs(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
     consecutive codes, each evaluated from scratch; needs
     N <= ``_kernels.ENUM_LIMIT``.
     """
-    n = seq.group.modulus
-    if n > _kernels.ENUM_LIMIT:
-        raise ValueError(f"exact sign enumeration limited to N <= {_kernels.ENUM_LIMIT}")
-    terms, base = _terms(seq, sigma, k, signed=True)
-    best, witness = _enumerate(terms, base, n, signed=True)
-    return SignSearchResult(Fraction(best, len(seq) * n), witness)
+    return _maximize(seq, sigma, k, signed=True)
 
 
 def max_over_01(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
     """Maximize |signed objective| over subsets A in {0,1}^N, exactly."""
-    n = seq.group.modulus
-    if n > _kernels.ENUM_LIMIT:
-        raise ValueError(f"exact subset enumeration limited to N <= {_kernels.ENUM_LIMIT}")
-    terms, base = _terms(seq, sigma, k, signed=False)
-    best, witness = _enumerate(terms, base, n, signed=False)
-    return SignSearchResult(Fraction(best, len(seq) * n), witness)
+    return _maximize(seq, sigma, k, signed=False)
 
 
 def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
@@ -201,8 +199,6 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
     not hold.
     """
     n = seq.group.modulus
-    if n > _kernels.ENUM_LIMIT:
-        raise ValueError(f"dominance check limited to N <= {_kernels.ENUM_LIMIT}")
     terms, base = _terms(seq, sigma, k, signed=False)
     pm_best, _ = _enumerate(terms, base, n, signed=True)
     zo_best, _ = _enumerate(terms, base, n, signed=False)

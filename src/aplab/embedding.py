@@ -24,7 +24,6 @@ from .discrepancy import IndexPartition, _as_signs, _window_products, is_good_pa
 from .groups import single_support
 
 DIMENSION_CAP = 20000  # largest comb(N, s) a pair matrix may index; read at call time
-DENSE_DIM_CAP = 4096
 
 
 class DimensionCapError(ValueError):
@@ -116,8 +115,8 @@ class EmbeddingMatrix:
                    for (row, col), v in self.entries.items())
 
     def to_dense(self) -> np.ndarray:
-        if self.dim > DENSE_DIM_CAP:
-            raise ValueError(f"dense form limited to dimension {DENSE_DIM_CAP}")
+        if self.dim > norms.DENSE_DIM_CAP:
+            raise ValueError(f"dense form limited to dimension {norms.DENSE_DIM_CAP}")
         out = np.zeros((self.dim, self.dim), dtype=np.float64)
         for (row, col), v in self.entries.items():
             out[row, col] = v
@@ -263,12 +262,8 @@ def prune_distance(original: EmbeddingMatrix, pruned: EmbeddingMatrix) -> int:
     bilinear gap between the two matrices, since each sign pattern picks
     every entry with coefficient of modulus one.
     """
-    if (original.n, original.s, original.r) != (pruned.n, pruned.s, pruned.r):
-        raise ValueError("matrices are indexed by different subset spaces")
-    diff = dict(original.entries)
-    for key, v in pruned.entries.items():
-        diff[key] = diff.get(key, 0) - v
-    return sum(abs(v) for v in diff.values())
+    diff = original.scale_add([(-1, pruned)])
+    return sum(abs(v) for v in diff.entries.values())
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from . import _kernels
 from .rng import spawn_signs
 
 ASCENT_RESTARTS = 16
+DENSE_DIM_CAP = 4096  # largest dense matrix side; read at call time
 
 
 def _square(mat) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aplab import _kernels, discrepancy, embedding, intersectivity
+from aplab import _kernels, cli, discrepancy, embedding, intersectivity, norms
 from aplab.cli import _verify_dominance, main
 from aplab.records import iter_ledger
 from aplab.rng import stream
@@ -54,7 +54,7 @@ def test_ledger_carries_wall_time(capsys, tmp_path):
         assert "wall_time_s" not in out and "peak_rss_mb" not in out, argv
     # a dimension past the dense cap fails before any payload exists
     code, out = run_cli(capsys, tmp_path, "norms", "--dim",
-                        str(embedding.DENSE_DIM_CAP + 1))
+                        str(norms.DENSE_DIM_CAP + 1))
     assert (code, out) == (1, "")
     rows = list(iter_ledger(str(tmp_path / "runs.ledger")))
     assert [row["command"] for row in rows] == [argv[0] for argv in runs]
@@ -232,7 +232,7 @@ def test_norms_accepts_dim_one(capsys, tmp_path):
 
 def test_norms_rejects_dim_above_dense_cap(capsys, tmp_path):
     """identity and random refuse a dimension past DENSE_DIM_CAP before building it."""
-    dim = str(embedding.DENSE_DIM_CAP + 1)
+    dim = str(norms.DENSE_DIM_CAP + 1)
     for demo in ("identity", "random"):
         code = main(["norms", "--demo", demo, "--dim", dim,
                      "--out", str(tmp_path / "runs.ledger")])
@@ -241,6 +241,33 @@ def test_norms_rejects_dim_above_dense_cap(capsys, tmp_path):
         assert captured.err.startswith("error:"), demo
         assert captured.out == "", demo
     assert not (tmp_path / "runs.ledger").exists()
+
+
+def test_khintchine_refuses_more_than_one_capped_matrix(capsys, tmp_path, monkeypatch):
+    """count * dim^2 above DENSE_DIM_CAP^2 fails before any matrix is drawn."""
+    def no_draw(*args):
+        raise AssertionError("khintchine drew matrices")
+
+    monkeypatch.setattr(cli, "stream", no_draw)
+    cap = norms.DENSE_DIM_CAP
+    for dim, count in ((cap, 2), (cap // 2, 5), (cap + 1, 1)):
+        code = main(["khintchine", "--dim", str(dim), "--count", str(count),
+                     "--out", str(tmp_path / "runs.ledger")])
+        captured = capsys.readouterr()
+        assert code == 1, (dim, count)
+        assert captured.err.startswith("error:"), (dim, count)
+        assert captured.out == "", (dim, count)
+    assert not (tmp_path / "runs.ledger").exists()
+
+
+def test_unwritable_ledger_is_an_error_with_empty_stdout(capsys, tmp_path):
+    """A ledger that cannot be written fails the run before anything is printed."""
+    code = main(["check", "--modulus", "5", "--differences", "1",
+                 "--out", str(tmp_path / "missing" / "x.ledger")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_flags_belong_to_their_subcommands(capsys, tmp_path, monkeypatch):
