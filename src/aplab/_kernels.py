@@ -79,11 +79,12 @@ def ap_count_kernel(mem, d, k):
 # exact enumeration over all 2**nvert assignments
 #
 # Assignments are scanned in chunks of at most ``_BATCH_ELEMS``
-# consecutive codes; a set bit in a reported mask means that vertex
-# carries -1 (over {-1,+1}) or 1 (over {0,1}).  Terms arrive as vertex
+# consecutive codes; a set bit in a code means that vertex carries -1
+# (over {-1,+1}) or 1 (over {0,1}).  The cube scan takes terms as vertex
 # bitmasks plus one value row each, indexed by how many of the term's
-# vertices a code sets, so one kernel serves both cubes.  Each kernel
-# reports the first maximizing code, and ``bit_vector`` decodes it.
+# vertices a code sets, so one kernel serves both cubes, and it returns
+# the maximum alone.  The inf->1 scan also reports the first maximizing
+# code, which ``bit_vector`` decodes.
 #
 # The inf->1 scan uses the sign symmetry ||M^T u||_1 = ||M^T (-u)||_1 to
 # visit only the codes with the top bit clear, and needs no matrix
@@ -100,23 +101,17 @@ def cube_enum_kernel(nvert, base, term_masks, term_table):
 
     Row t of ``term_table`` gives term t's value by how many of its
     vertices the code sets: c_t * (-1)**j on the {-1,+1} cube and
-    c_t * [j = |t|] on the {0,1} cube.  Returns the value and the first
-    maximizing code.
+    c_t * [j = |t|] on the {0,1} cube.
     """
-    best = np.int64(-1)
-    best_mask = 0
+    best = 0
     total = 1 << nvert
     for start in range(0, total, _BATCH_ELEMS):
         codes = np.arange(start, min(start + _BATCH_ELEMS, total), dtype=np.uint64)
         acc = np.full(codes.shape[0], base, dtype=np.int64)
         for mask, row in zip(term_masks, term_table):
             acc += row[np.bitwise_count(codes & mask)]
-        np.abs(acc, out=acc)
-        pos = int(np.argmax(acc))
-        if acc[pos] > best:
-            best = acc[pos]
-            best_mask = int(codes[pos])
-    return int(best), best_mask
+        best = max(best, int(np.abs(acc, out=acc).max()))
+    return best
 
 
 def _signed_row_sums(rows):

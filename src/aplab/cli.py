@@ -50,9 +50,26 @@ def _assert_into(payload: dict, name: str, ok: bool, detail: str = "") -> None:
     payload["assertions"].append({"name": name, "pass": bool(ok), "detail": detail})
 
 
+def _epsilon(text: str) -> Fraction:
+    """The ``--epsilon`` value, an exact density in (0, 1]."""
+    try:
+        epsilon = as_density(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse epsilon {text!r}") from None
+    if not 0 < epsilon <= 1:
+        raise argparse.ArgumentTypeError("epsilon must lie in (0, 1]")
+    return epsilon
+
+
 def _difference_list(text: str) -> tuple[int, ...]:
-    """The comma-separated ``--differences`` value; raises ValueError."""
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    """The comma-separated ``--differences`` value, at least one integer."""
+    try:
+        diffs = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse differences {text!r}") from None
+    if not diffs:
+        raise argparse.ArgumentTypeError("no differences given")
+    return diffs
 
 
 def _finish(payload: dict, out: str, started: float) -> int:
@@ -74,7 +91,7 @@ def _finish(payload: dict, out: str, started: float) -> int:
 def cmd_critical_size(args) -> dict:
     from . import intersectivity
     group = Group(args.modulus)
-    params = ApParams(args.k, as_density(args.epsilon))
+    params = ApParams(args.k, args.epsilon)
     payload = _payload("critical-size", {
         "modulus": args.modulus, "k": args.k,
         "epsilon": params.epsilon, "trials": args.trials,
@@ -90,13 +107,12 @@ def cmd_critical_size(args) -> dict:
 def cmd_check(args) -> dict:
     from . import intersectivity
     group = Group(args.modulus)
-    params = ApParams(args.k, as_density(args.epsilon))
-    diffs = _difference_list(args.differences)
-    seq = DifferenceSequence(group, diffs)
+    params = ApParams(args.k, args.epsilon)
+    seq = DifferenceSequence(group, args.differences)
     payload = _payload("check", {
         "modulus": args.modulus, "k": args.k,
         "epsilon": params.epsilon,
-        "differences": list(diffs), "exact_limit": intersectivity.EXACT_LIMIT,
+        "differences": list(args.differences), "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
     verdict = intersectivity.decide(seq, params, stream(args.seed, 1))
     payload["results"] = {
@@ -383,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("critical-size", cmd_critical_size, "estimate the threshold length m*")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--epsilon", default="0.5")
+    p.add_argument("--epsilon", type=_epsilon, default="0.5")
     p.add_argument("--trials", type=int, default=200)
 
     p = command("check", cmd_check, "decide intersectivity of explicit differences")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--epsilon", default="0.5")
-    p.add_argument("--differences", required=True,
+    p.add_argument("--epsilon", type=_epsilon, default="0.5")
+    p.add_argument("--differences", type=_difference_list, required=True,
                    help="comma-separated difference list")
 
     p = command("verify", cmd_verify, "run the identity and inequality suite")
@@ -436,24 +452,9 @@ def _validate(args) -> str | None:
         return "count must be positive"
     if getattr(args, "m", 1) < 1:
         return "m must be positive"
-    text = getattr(args, "differences", None)
-    if text is not None:
-        try:
-            diffs = _difference_list(text)
-        except ValueError:
-            return f"cannot parse differences {text!r}"
-        if not diffs:
-            return "no differences given"
-        if not all(0 <= d < args.modulus for d in diffs):
-            return f"differences must lie in 0..{args.modulus - 1}"
-    text = getattr(args, "epsilon", None)
-    if text is not None:
-        try:
-            epsilon = as_density(text)
-        except (ValueError, ZeroDivisionError):
-            return f"cannot parse epsilon {text!r}"
-        if not 0 < epsilon <= 1:
-            return "epsilon must lie in (0, 1]"
+    diffs = getattr(args, "differences", ())
+    if not all(0 <= d < args.modulus for d in diffs):
+        return f"differences must lie in 0..{args.modulus - 1}"
     if args.command == "kimvu":
         # the preconditions of ApParams.r and verify_set_vs_bernoulli at p = s/N
         if args.k % 2 == 0:

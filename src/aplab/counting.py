@@ -109,8 +109,6 @@ def ap_count(mask: SubsetMask, d: int, k: int) -> RationalCount:
 
 def ap_average(mask: SubsetMask, seq: DifferenceSequence, k: int) -> RationalCount:
     """Progression density averaged over the sequence, exact over m*N."""
-    if len(seq) == 0:
-        raise ValueError("difference sequence must be nonempty")
     if mask.group != seq.group:
         raise ValueError("mask and sequence live in different groups")
     n = mask.group.modulus

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .counting import DifferenceSequence, RationalCount
+from .counting import DifferenceSequence
 from .groups import ApParams, Group, as_density, single_support
 
 GOOD_SET_ATTEMPTS = 200
@@ -68,18 +68,6 @@ def _window_products(seq: DifferenceSequence, zz: np.ndarray, k: int) -> np.ndar
     return zz[idx].prod(axis=2)
 
 
-def signed_total(seq: DifferenceSequence, sigma, Z, k: int) -> int:
-    """Integer numerator of the signed average, exact over m*N: sigma . (H Z)."""
-    sig = _as_signs(sigma, len(seq))
-    zz = _as_signs(Z, seq.group.modulus)
-    return int(sig @ (_window_products(seq, zz, k) @ zz))
-
-
-def signed_objective(seq: DifferenceSequence, sigma, Z, k: int) -> RationalCount:
-    """The signed average itself, numerator over m*N."""
-    return RationalCount(signed_total(seq, sigma, Z, k), len(seq) * seq.group.modulus)
-
-
 def verify_cauchy_schwarz_step(seq: DifferenceSequence, sigma, Z, k: int) -> bool:
     """Check S^2 <= N * T with S the signed numerator and T the paired square.
 
@@ -101,89 +89,44 @@ def verify_cauchy_schwarz_step(seq: DifferenceSequence, sigma, Z, k: int) -> boo
 # maximization over relabelings
 
 
-@dataclass(frozen=True)
-class SignSearchResult:
-    value: Fraction  # max of |signed objective|
-    witness: np.ndarray  # a Z attaining value
+def _terms(seq: DifferenceSequence, sigma, k: int):
+    """Group (i, x) terms by their set of distinct points, with integer coefficients.
 
-
-def _terms(seq: DifferenceSequence, sigma, k: int, signed: bool):
-    """Group (i, x) terms by their support, with integer coefficients.
-
-    On the {-1,+1} cube (``signed``) a point visited an even number of
-    times drops out of the product, so the support is the odd-visit
-    points; on the {0,1} cube it is the distinct points.  Zero
-    coefficients are discarded, and the empty support is the base.
+    Zero coefficients are discarded, and the empty support is the base.
     """
     n = seq.group.modulus
     sig = _as_signs(sigma, len(seq))
     terms: dict[tuple[int, ...], int] = {}
     for i, d in enumerate(seq.entries):
         for x in range(n):
-            pts = [(x + step * d) % n for step in range(k)]
-            supp = tuple(sorted({y for y in pts if pts.count(y) % 2} if signed else set(pts)))
+            supp = tuple(sorted({(x + step * d) % n for step in range(k)}))
             terms[supp] = terms.get(supp, 0) + int(sig[i])
     base = terms.pop((), 0)
     return {s: c for s, c in terms.items() if c != 0}, base
 
 
-def _term_arrays(terms: dict[tuple[int, ...], int]):
-    """Compact the involved vertices: (involved, coefficients, supports).
-
-    Supports are sorted, and each is rewritten over the compact indices
-    0..len(involved)-1.
-    """
-    involved = sorted({v for s in terms for v in s})
-    remap = {v: i for i, v in enumerate(involved)}
-    supports = sorted(terms)
-    coef = np.array([terms[s] for s in supports], dtype=np.int64)
-    return involved, coef, [tuple(remap[v] for v in s) for s in supports]
-
-
-def _enumerate(terms, base, n, signed: bool):
-    """Exact maximum of |base + terms| and a witness over {-1,+1}^n or {0,1}^n.
+def _enumerate(terms, base, n, signed: bool) -> int:
+    """Exact maximum of |base + terms| over {-1,+1}^n or {0,1}^n.
 
     A term with coefficient c on support t is worth c * (-1)^j on the
     {-1,+1} cube and c * [j = |t|] on the {0,1} cube, where j counts the
-    support points set to -1 or to 1.  Needs n <= ``_kernels.ENUM_LIMIT``.
+    support points set to -1 or to 1.  Only the involved vertices are
+    enumerated; needs n <= ``_kernels.ENUM_LIMIT``.
     """
     if n > _kernels.ENUM_LIMIT:
         raise ValueError(f"exact enumeration limited to N <= {_kernels.ENUM_LIMIT}")
-    involved, coef, local = _term_arrays(terms)
-    witness = np.zeros(n, dtype=np.int64)  # 1 marks a -1 or a member
-    best = abs(base)
-    if involved:
-        masks = np.array([sum(1 << v for v in s) for s in local], dtype=np.uint64)
-        j = np.arange(len(involved) + 1)
-        if signed:
-            rows = 1 - 2 * (j & 1)[None, :]
-        else:
-            rows = j[None, :] == np.bitwise_count(masks)[:, None]
-        best, code = _kernels.cube_enum_kernel(len(involved), base, masks,
-                                               coef[:, None] * rows)
-        witness[involved] = _kernels.bit_vector(code, len(involved))
-    return best, 1 - 2 * witness if signed else witness
-
-
-def _maximize(seq: DifferenceSequence, sigma, k: int, signed: bool) -> SignSearchResult:
-    n = seq.group.modulus
-    best, witness = _enumerate(*_terms(seq, sigma, k, signed), n, signed)
-    return SignSearchResult(Fraction(best, len(seq) * n), witness)
-
-
-def max_over_signs(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
-    """Maximize |signed objective| over Z in {-1,+1}^N, exactly.
-
-    Walks all 2^v assignments of the involved vertices in chunks of
-    consecutive codes, each evaluated from scratch; needs
-    N <= ``_kernels.ENUM_LIMIT``.
-    """
-    return _maximize(seq, sigma, k, signed=True)
-
-
-def max_over_01(seq: DifferenceSequence, sigma, k: int) -> SignSearchResult:
-    """Maximize |signed objective| over subsets A in {0,1}^N, exactly."""
-    return _maximize(seq, sigma, k, signed=False)
+    if not terms:
+        return abs(base)
+    involved = sorted({v for s in terms for v in s})
+    bit = {v: 1 << i for i, v in enumerate(involved)}
+    masks = np.array([sum(map(bit.__getitem__, s)) for s in terms], dtype=np.uint64)
+    coef = np.array(list(terms.values()), dtype=np.int64)
+    j = np.arange(len(involved) + 1)
+    if signed:
+        rows = 1 - 2 * (j & 1)[None, :]
+    else:
+        rows = j[None, :] == np.bitwise_count(masks)[:, None]
+    return _kernels.cube_enum_kernel(len(involved), base, masks, coef[:, None] * rows)
 
 
 def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
@@ -193,16 +136,13 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
     maximum over the cube is attained at a vertex of the larger cube;
     this checks that instance by instance with both exact enumerations.
     Both cubes evaluate the same multilinear polynomial, the distinct-point
-    terms that ``_terms`` builds for the {0,1} cube: when a progression
-    repeats a point, reducing by z^2 = 1 and by a^2 = a gives different
-    polynomials, and dominance between two different polynomials need
-    not hold.
+    terms that ``_terms`` builds: when a progression repeats a point,
+    reducing by z^2 = 1 and by a^2 = a gives different polynomials, and
+    dominance between two different polynomials need not hold.
     """
     n = seq.group.modulus
-    terms, base = _terms(seq, sigma, k, signed=False)
-    pm_best, _ = _enumerate(terms, base, n, signed=True)
-    zo_best, _ = _enumerate(terms, base, n, signed=False)
-    return pm_best >= zo_best
+    terms, base = _terms(seq, sigma, k)
+    return _enumerate(terms, base, n, signed=True) >= _enumerate(terms, base, n, signed=False)
 
 
 def _progression_counts(n: int, k: int) -> np.ndarray:

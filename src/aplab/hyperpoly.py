@@ -114,6 +114,14 @@ class MuProfile:
         return max(self.mu)
 
 
+def _open_unit_density(p) -> Fraction:
+    """``p`` as an exact rational strictly between 0 and 1."""
+    pf = as_density(p)
+    if not 0 < pf < 1:
+        raise ValueError("p must lie strictly between 0 and 1")
+    return pf
+
+
 def mu_profile(h: HypergraphPoly, p) -> MuProfile:
     """Exact worst-case conditional expectations per fixed-set size.
 
@@ -121,9 +129,7 @@ def mu_profile(h: HypergraphPoly, p) -> MuProfile:
     into a map; mu_i is the largest accumulated value among |A| = i.
     Memory is bounded by the sum of 2^{|e|} over distinct edges.
     """
-    pf = as_density(p)
-    if not 0 < pf < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
+    pf = _open_unit_density(p)
     kmax = h.max_edge_size()
     powers = [pf ** j for j in range(kmax + 1)]
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -230,9 +236,7 @@ def row_weight_mean_enumerated(seq: DifferenceSequence, i: int, right, s: int,
 
 def bernoulli_average(h: HypergraphPoly, p) -> Fraction:
     """E f(X) for independent Bernoulli(p) coordinates, exactly."""
-    pf = as_density(p)
-    if not 0 < pf < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
+    pf = _open_unit_density(p)
     total = Fraction(0)
     for edge, mult in h._edges.items():
         total += mult * pf ** len(edge)
@@ -269,9 +273,7 @@ def verify_set_vs_bernoulli(h: HypergraphPoly, t: int, p) -> SetVsBernoulliRepor
     required (pn >= 1 and t <= pn/2, hence t below the median), which
     keeps small-n instances admissible.
     """
-    pf = as_density(p)
-    if not 0 < pf < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
+    pf = _open_unit_density(p)
     if not 0 <= t <= h.n:
         raise ValueError("subset size outside 0..n")
     if pf * h.n < 1:

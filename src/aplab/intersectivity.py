@@ -195,9 +195,8 @@ def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
     restarts, passes = HEURISTIC_RESTARTS_DEFAULT, HEURISTIC_PASSES_DEFAULT
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (restarts, 1)), axis=1)
     removals = rng.integers(0, n, size=(restarts, passes), dtype=np.int64)
-    best_size, best_mask = _kernels.apfree_search_kernel(
+    return _kernels.apfree_search_kernel(
         n, target, edge_ptr, edge_vtx, sizes, v_ptr, v_edges, perms, removals)
-    return int(best_size), np.asarray(best_mask, dtype=np.uint8)
 
 
 def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerdict:

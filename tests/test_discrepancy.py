@@ -1,4 +1,4 @@
-"""Signed objectives, the Cauchy-Schwarz split, and sign maximization."""
+"""The Cauchy-Schwarz split, the two cube maxima, symmetrization and good sets."""
 from fractions import Fraction
 from itertools import product
 
@@ -23,39 +23,6 @@ def test_partition_basics():
     rnd = D.IndexPartition.random_balanced(5, stream(1, 0))
     assert sorted(rnd.left + rnd.right) == [0, 1, 2, 3, 4]
     assert len(rnd.left) == 2
-
-
-def test_signed_objective_known_value():
-    g = Group(5)
-    seq = DifferenceSequence(g, (1,))
-    z = np.ones(5, dtype=np.int64)
-    z[0] = -1
-    got = D.signed_objective(seq, [1], z, 3)
-    assert Fraction(got.numerator, got.denominator) == Fraction(-1, 5)
-
-
-def brute_signed_total(seq, sigma, zz, k):
-    n = seq.group.modulus
-    total = 0
-    for i, d in enumerate(seq.entries):
-        for x in range(n):
-            prod = 1
-            for step in range(k):
-                prod *= int(zz[(x + step * d) % n])
-            total += int(sigma[i]) * prod
-    return total
-
-
-def test_signed_total_matches_brute_force():
-    rng = stream(53, 0)
-    for _ in range(30):
-        n = int(rng.integers(3, 12))
-        m = int(rng.integers(1, 5))
-        k = int(rng.integers(2, 5))
-        seq = DifferenceSequence.sample(Group(n), m, rng)
-        sigma = spawn_signs(rng, m)
-        zz = spawn_signs(rng, n)
-        assert D.signed_total(seq, sigma, zz, k) == brute_signed_total(seq, sigma, zz, k)
 
 
 def test_discrepancy_vs_sign_split():
@@ -84,11 +51,17 @@ def test_cauchy_schwarz_step_many_instances():
 
 
 def brute_max_pm(seq, sigma, k):
+    """Max over {-1,+1}^N of the distinct-point polynomial: each progression
+    contributes the product of Z over its set of points."""
     n = seq.group.modulus
-    best = Fraction(0)
+    best = 0
     for signs in product((1, -1), repeat=n):
-        zz = np.array(signs, dtype=np.int64)
-        best = max(best, abs(D.signed_objective(seq, sigma, zz, k).value))
+        tot = 0
+        for s, d in zip(sigma, seq.entries):
+            for x in range(n):
+                tot += int(s) * int(np.prod([signs[y] for y in {(x + l * d) % n
+                                                                  for l in range(k)}]))
+        best = max(best, abs(tot))
     return best
 
 
@@ -96,45 +69,38 @@ def brute_max_01(seq, sigma, k):
     # over indicators the product form reduces to progression counts
     n = seq.group.modulus
     g = seq.group
-    best = Fraction(0)
+    best = 0
     for bits in product((0, 1), repeat=n):
         mask = SubsetMask.from_indices(g, [i for i in range(n) if bits[i]])
         tot = sum(int(s) * ap_count(mask, d, k).numerator
                   for s, d in zip(sigma, seq.entries))
-        best = max(best, abs(Fraction(tot, len(seq) * n)))
+        best = max(best, abs(tot))
     return best
 
 
-def test_max_over_signs_exact():
+def test_cube_maxima_match_brute_force():
+    """Both exact maxima of the one polynomial ``_terms`` builds, against brute force;
+    D = (3, 0) in Z/6 revisits points, so its two reductions would differ."""
     rng = stream(53, 4)
+    cases = [(DifferenceSequence(Group(6), (3, 0)), np.array([-1, 1]))]
     for _ in range(10):
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, 4))
-        seq = DifferenceSequence.sample(Group(n), m, rng)
-        sigma = spawn_signs(rng, m)
-        got = D.max_over_signs(seq, sigma, 3)
-        assert got.value == brute_max_pm(seq, sigma, 3)
-        got01 = D.max_over_01(seq, sigma, 3)
-        assert got01.value == brute_max_01(seq, sigma, 3)
-
-
-def test_max_over_signs_witness_attains():
-    rng = stream(53, 5)
-    seq = DifferenceSequence.sample(Group(8), 3, rng)
-    sigma = spawn_signs(rng, 3)
-    res = D.max_over_signs(seq, sigma, 3)
-    attained = abs(D.signed_objective(seq, sigma, res.witness, 3).value)
-    assert attained == res.value
+        cases.append((DifferenceSequence.sample(Group(n), m, rng), spawn_signs(rng, m)))
+    for seq, sigma in cases:
+        n = seq.group.modulus
+        terms, base = D._terms(seq, sigma, 3)
+        assert D._enumerate(terms, base, n, signed=True) == brute_max_pm(seq, sigma, 3)
+        assert D._enumerate(terms, base, n, signed=False) == brute_max_01(seq, sigma, 3)
 
 
 def test_enumeration_limit_is_read_at_call_time(monkeypatch):
     seq = DifferenceSequence(Group(5), (1, 2))
     sigma = np.array([1, -1])
-    D.max_over_signs(seq, sigma, 3)
+    assert D.multilinear_dominance(seq, sigma, 3)
     monkeypatch.setattr(_kernels, "ENUM_LIMIT", 4)
-    for fn in (D.max_over_signs, D.max_over_01, D.multilinear_dominance):
-        with pytest.raises(ValueError):
-            fn(seq, sigma, 3)
+    with pytest.raises(ValueError):
+        D.multilinear_dominance(seq, sigma, 3)
 
 
 def test_multilinear_dominance_sample():

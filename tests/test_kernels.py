@@ -1,8 +1,4 @@
-"""Each kernel against a brute-force oracle or reference loop written out in this file.
-
-Witness vectors are not unique when several assignments tie, so the
-enumeration tests check that the reported witness attains the value.
-"""
+"""Each kernel against a brute-force oracle or reference loop written out in this file."""
 import tracemalloc
 from itertools import product
 
@@ -203,20 +199,14 @@ def test_pm_enumeration_matches_brute_force():
         coefs, masks = random_terms(rng, nvert, int(rng.integers(1, 7)))
         base = int(rng.integers(-3, 4))
         want = brute_pm(base, coefs, masks, nvert)
-        got, mask = K.cube_enum_kernel(nvert, base, *to_kernel_args(coefs, masks, nvert, True))
-        assert got == want
-        signs = [-1 if (int(mask) >> v) & 1 else 1 for v in range(nvert)]
-        tot = base + sum(c * int(np.prod([signs[v] for v in vs]))
-                         for c, vs in zip(coefs, masks))
-        assert abs(tot) == want
-    # 17 vertices span several chunks of codes, and ties go to the first code
-    assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, True)) == (3, 0)
+        assert K.cube_enum_kernel(nvert, base, *to_kernel_args(coefs, masks, nvert, True)) == want
+    # 17 vertices span several chunks of codes
+    assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, True)) == 3
     # 1 - (-1)^j3 - (-1)^j_top is 3 only with bits 3 and top set, past the first chunk
     for nvert in (16, 17, 20):
         assert 1 << nvert > K._BATCH_ELEMS
         top = nvert - 1
-        assert K.cube_enum_kernel(nvert, 1, *to_kernel_args([-1, -1], [[3], [top]], nvert, True)) \
-            == (3, 8 + (1 << top))
+        assert K.cube_enum_kernel(nvert, 1, *to_kernel_args([-1, -1], [[3], [top]], nvert, True)) == 3
 
 
 def test_01_enumeration_matches_brute_force():
@@ -226,18 +216,12 @@ def test_01_enumeration_matches_brute_force():
         coefs, masks = random_terms(rng, nvert, int(rng.integers(1, 7)))
         base = int(rng.integers(-3, 4))
         want = brute_01(base, coefs, masks, nvert)
-        got, mask = K.cube_enum_kernel(nvert, base, *to_kernel_args(coefs, masks, nvert, False))
-        assert got == want
-        bits = [(int(mask) >> v) & 1 for v in range(nvert)]
-        tot = base + sum(c for c, vs in zip(coefs, masks)
-                         if all(bits[v] for v in vs))
-        assert abs(tot) == want
-    assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, False)) == (3, 1)
-    # 2 + [bits 3 and top set] is 3 only there
+        assert K.cube_enum_kernel(nvert, base, *to_kernel_args(coefs, masks, nvert, False)) == want
+    assert K.cube_enum_kernel(17, 2, *to_kernel_args([1], [[0]], 17, False)) == 3
+    # 2 + [bits 3 and top set] is 3 only there, in the last chunk
     for nvert in (16, 17, 20):
         top = nvert - 1
-        assert K.cube_enum_kernel(nvert, 2, *to_kernel_args([1], [[3, top]], nvert, False)) \
-            == (3, 8 + (1 << top))
+        assert K.cube_enum_kernel(nvert, 2, *to_kernel_args([1], [[3, top]], nvert, False)) == 3
 
 
 def brute_infone(mat):
