@@ -1,6 +1,6 @@
 """Hot numeric kernels, one implementation each.
 
-The counting, enumeration and polynomial kernels are vectorized numpy;
+The enumeration and polynomial kernels are vectorized numpy;
 the greedy free-set search is a Python loop over an integer bitset of
 members, with partner bitmasks for two-vertex edges and room counters
 for the rest read from the CSR arrays built by ``csr_incidence``, and
@@ -61,18 +61,6 @@ def bit_vector(members, nvert):
     """uint8 vector of the low ``nvert`` bits of the int ``members``."""
     packed = np.frombuffer(members.to_bytes((nvert + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=nvert, bitorder="little")
-
-
-# ---------------------------------------------------------------------------
-# progression counting
-
-
-def ap_count_kernel(mem, d, k):
-    """Number of x with all of x, x+d, ..., x+(k-1)d inside the mask."""
-    acc = mem.astype(bool)
-    for step in range(1, k):
-        acc &= np.roll(mem.astype(bool), -step * d)
-    return int(acc.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +215,8 @@ def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
                          v_ptr, v_edges, perms, removals):
     """Best free set found by greedy restarts with swap passes.
 
-    Returns ``(size, mask)``, mask a uint8 membership vector; stops as
-    soon as a set of size ``target`` is found.
+    Returns ``(size, members)``, members an int with bit v set when vertex
+    v is in the set; stops as soon as a set of size ``target`` is found.
     """
     ptr, vtx, incident, bounds = (a.tolist() for a in (edge_ptr, edge_vtx, v_edges, v_ptr))
     edge_verts = [vtx[ptr[e]:ptr[e + 1]] for e in range(len(ptr) - 1)]
@@ -263,7 +251,7 @@ def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
         if size > best_size:
             best_size, best = size, members
         if best_size >= target:
-            return best_size, bit_vector(best, nvert)
+            return best_size, best
         victim = -1
         for probe in probes:
             if not members:
@@ -294,5 +282,5 @@ def apfree_search_kernel(nvert, target, edge_ptr, edge_vtx, edge_size,
             if size > best_size:
                 best_size, best = size, members
             if best_size >= target:
-                return best_size, bit_vector(best, nvert)
-    return best_size, bit_vector(best, nvert)
+                return best_size, best
+    return best_size, best

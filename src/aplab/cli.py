@@ -115,12 +115,12 @@ def cmd_check(args) -> dict:
         "differences": list(args.differences), "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
     verdict = intersectivity.decide(seq, params, stream(args.seed, 1))
+    w = verdict.witness
     payload["results"] = {
         "intersective": verdict.intersective,
         "method": verdict.method,
         "target_size": density_target(group, params),
-        "witness": (list(verdict.witness.indices())
-                    if verdict.witness is not None else None),
+        "witness": None if w is None else [v for v in range(args.modulus) if w >> v & 1],
     }
     return payload
 
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=_LEDGER_DEFAULT,
                        help="ledger path (append-only)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command("critical-size", cmd_critical_size, "estimate the threshold length m*")
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     problem = _validate(args)
     if problem is not None:
-        parser.error(problem)  # exits 2
+        args.parser.error(problem)  # the subcommand's usage; exits 2
     started = time.monotonic()
     try:
         return _finish(args.func(args), args.out, started)

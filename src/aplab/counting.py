@@ -1,5 +1,6 @@
 """Exact progression counting over subsets of Z/N.
 
+A subset is a Python int bitmask: bit v is set when v is in the set.
 Counts are carried as unreduced integer ratios so that averages over a
 difference sequence (denominator m*N) and over the whole group
 (denominator N^2) can be compared without rounding.
@@ -10,9 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .groups import Group
 
 
@@ -25,42 +23,6 @@ class RationalCount(NamedTuple):
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-
-class SubsetMask:
-    """A subset of Z/N stored as a 0/1 byte vector with cached cardinality."""
-
-    __slots__ = ("group", "membership", "cardinality")
-
-    def __init__(self, group: Group, membership):
-        arr = np.ascontiguousarray(membership, dtype=np.uint8)
-        if arr.ndim != 1 or arr.shape[0] != group.modulus:
-            raise ValueError("membership vector length must equal the group modulus")
-        if arr.max(initial=0) > 1:
-            raise ValueError("membership entries must be 0 or 1")
-        self.group = group
-        self.membership = arr
-        self.cardinality = int(arr.sum())
-
-    @classmethod
-    def from_indices(cls, group: Group, indices) -> "SubsetMask":
-        arr = np.zeros(group.modulus, dtype=np.uint8)
-        for x in indices:
-            if not 0 <= x < group.modulus:
-                raise ValueError(f"index {x} outside 0..{group.modulus - 1}")
-            arr[x] = 1
-        return cls(group, arr)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.membership))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubsetMask)
-                and self.group == other.group
-                and bool(np.array_equal(self.membership, other.membership)))
-
-    def __repr__(self) -> str:
-        return f"SubsetMask(N={self.group.modulus}, size={self.cardinality})"
 
 
 @dataclass(frozen=True)
@@ -93,39 +55,52 @@ class DifferenceSequence:
         return tuple(sorted(set(self.entries)))
 
 
-def ap_count(mask: SubsetMask, d: int, k: int) -> RationalCount:
+def _starts(mask: int, n: int, d: int, k: int) -> int:
+    """Number of x with all of x, x+d, ..., x+(k-1)d in the N-bit ``mask``.
+
+    Rotating the mask down by step*d puts bit x + step*d at bit x, so the
+    AND over the steps keeps exactly the starts whose progression stays
+    inside.
+    """
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"mask has bits outside 0..{n - 1}")
+    full = (1 << n) - 1
+    acc = mask
+    for step in range(1, k):
+        s = step * d % n
+        acc &= (mask >> s | mask << (n - s)) & full
+    return acc.bit_count()
+
+
+def ap_count(group: Group, mask: int, d: int, k: int) -> RationalCount:
     """Fraction of starts x whose progression x, x+d, ..., x+(k-1)d stays in the mask.
 
     Exact value count/N where count is an integer in [0, N].
     """
-    n = mask.group.modulus
+    n = group.modulus
     if not 0 <= d < n:
         raise ValueError("difference outside the group")
     if k < 1:
         raise ValueError("progression length must be at least 1")
-    count = int(_kernels.ap_count_kernel(mask.membership, d, k))
-    return RationalCount(count, n)
+    return RationalCount(_starts(mask, n, d, k), n)
 
 
-def ap_average(mask: SubsetMask, seq: DifferenceSequence, k: int) -> RationalCount:
+def ap_average(mask: int, seq: DifferenceSequence, k: int) -> RationalCount:
     """Progression density averaged over the sequence, exact over m*N."""
-    if mask.group != seq.group:
-        raise ValueError("mask and sequence live in different groups")
-    n = mask.group.modulus
+    n = seq.group.modulus
     total = 0
     cache: dict[int, int] = {}
     for d in seq.entries:
         if d not in cache:
-            cache[d] = int(_kernels.ap_count_kernel(mask.membership, d, k))
+            cache[d] = _starts(mask, n, d, k)
         total += cache[d]
     return RationalCount(total, len(seq) * n)
 
 
-def ap_average_all(mask: SubsetMask, k: int) -> RationalCount:
+def ap_average_all(group: Group, mask: int, k: int) -> RationalCount:
     """Progression density averaged over every difference, exact over N^2."""
     if k < 1:
         raise ValueError("progression length must be at least 1")
-    n = mask.group.modulus
-    total = sum(_kernels.ap_count_kernel(mask.membership, d, k) for d in range(n))
+    n = group.modulus
+    total = sum(_starts(mask, n, d, k) for d in range(n))
     return RationalCount(total, n * n)
-

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .counting import DifferenceSequence, SubsetMask, ap_average
+from .counting import DifferenceSequence, ap_average
 from .groups import ApParams, Group, density_target
 from .rng import stream
 
@@ -34,7 +34,7 @@ WILSON_Z = 1.9599639845400536
 @dataclass(frozen=True)
 class IntersectivityVerdict:
     intersective: bool
-    witness: Optional[SubsetMask]  # free set of at least the target size, when one is found
+    witness: Optional[int]  # free set of at least the target size as a bitmask, when found
     method: str  # "exact" or "heuristic"
 
 
@@ -118,8 +118,8 @@ def odd_cycle_certified(seq: DifferenceSequence, k: int, target: int) -> bool:
     return False
 
 
-def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tuple[int, ...]]:
-    """A progression-free subset of size exactly ``target``, or None.
+def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[int]:
+    """A progression-free subset of size exactly ``target`` as a bitmask, or None.
 
     Branch and bound over the vertices 0..N-1 in order, trying to include
     each vertex before excluding it; a vertex that would complete a
@@ -144,7 +144,7 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
     """
     n = seq.group.modulus
     if target <= 0:
-        return ()
+        return 0
     if target > n or odd_cycle_certified(seq, k, target):
         return None
     edges = minimal_forbidden_sets(seq, k)
@@ -179,15 +179,12 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[tup
                 return found
         return descend(v + 1, needed, chosen)
 
-    found = descend(0, target, 0)
-    if found is None:
-        return None
-    return tuple(v for v in range(n) if found >> v & 1)
+    return descend(0, target, 0)
 
 
 def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
-                        rng) -> tuple[int, np.ndarray]:
-    """Greedy-plus-swaps search; returns (best size, membership vector)."""
+                        rng) -> tuple[int, int]:
+    """Greedy-plus-swaps search; returns (best size, member bitmask)."""
     n = seq.group.modulus
     edges = minimal_forbidden_sets(seq, k)
     edge_ptr, edge_vtx, v_ptr, v_edges = _kernels.csr_incidence(edges, n)
@@ -215,14 +212,13 @@ def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerd
     target = density_target(group, params)
     if group.modulus <= EXACT_LIMIT:
         method = "exact"
-        found = exact_free_set(seq, params.k, target)
-        witness = None if found is None else SubsetMask.from_indices(group, found)
+        witness = exact_free_set(seq, params.k, target)
     elif odd_cycle_certified(seq, params.k, target):
         return IntersectivityVerdict(True, None, "exact")
     else:
         method = "heuristic"
-        size, mem = _heuristic_free_set(seq, params.k, target, rng)
-        witness = SubsetMask(group, mem) if size >= target else None
+        size, found = _heuristic_free_set(seq, params.k, target, rng)
+        witness = found if size >= target else None
     if witness is None:
         return IntersectivityVerdict(True, None, method)
     if ap_average(witness, seq, params.k).numerator != 0:

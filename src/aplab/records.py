@@ -12,8 +12,6 @@ import json
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 VERSION = "0.1.0"
 
 
@@ -24,10 +22,10 @@ def format_float(x: float) -> str:
 def _emit(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
     if isinstance(value, Fraction):
         return json.dumps(f"{value.numerator}/{value.denominator}")
     if isinstance(value, str):
@@ -38,7 +36,7 @@ def _emit(value) -> str:
         parts = (f"{json.dumps(str(k), ensure_ascii=True)}:{_emit(v)}"
                  for k, v in value.items())
         return "{" + ",".join(parts) + "}"
-    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

@@ -212,6 +212,23 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert not (tmp_path / "runs.ledger").exists()
 
 
+def test_range_errors_report_their_subcommand_usage(capsys, tmp_path):
+    """A value refused after parsing, such as a difference outside 0..N-1,
+    prints its subcommand's usage, not the top-level one."""
+    for argv, message in ((["check", "--modulus", "7", "--differences", "9"],
+                           "differences must lie in 0..6"),
+                          (["critical-size", "--modulus", "0"], "modulus must be positive"),
+                          (["kimvu", "--k", "4"], "half-length r requires odd k"),
+                          (["norms", "--demo", "window", "--dim", "8"], "takes no dim")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "runs.ledger")])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith(f"usage: aplab {argv[0]} "), argv
+        assert message in captured.err, argv
+
+
 def test_norms_window_demo_reports_its_own_size(capsys, tmp_path):
     """The window matrix is the fixed 55 x 55 aggregate; its params name no dim."""
     code, out = run_cli(capsys, tmp_path, "norms", "--demo", "window")

@@ -1,6 +1,6 @@
 """Every module-level import in the package and the tests is used, every
-name the package defines is referenced somewhere, and importing the
-package loads none of its modules."""
+name the package defines is referenced somewhere, importing the package
+loads none of its modules, and its counting layer loads no numpy."""
 import ast
 import os
 import subprocess
@@ -133,3 +133,15 @@ def test_import_aplab_loads_nothing():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
     assert done.stderr.splitlines()[-3:] == ["['aplab']", "[]", "ImportError"]
+
+
+def test_counting_layer_loads_no_numpy():
+    """A fresh interpreter importing ``counting``, ``groups`` and ``records``
+    loads no numpy: subsets are int bitmasks and payloads hold builtins."""
+    script = ("import sys\n"
+              "import aplab.counting, aplab.groups, aplab.records\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),\n"
+              "      file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert done.stderr.splitlines()[-1] == "[]"

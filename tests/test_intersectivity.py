@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aplab import _kernels, intersectivity
-from aplab.counting import DifferenceSequence, SubsetMask, ap_average
+from aplab.counting import DifferenceSequence, ap_average
 from aplab.groups import ApParams, Group, as_density, density_target
 from aplab.intersectivity import (_heuristic_free_set, decide, estimate_critical_size,
                                   exact_free_set, minimal_forbidden_sets,
@@ -15,12 +15,16 @@ from aplab.intersectivity import (_heuristic_free_set, decide, estimate_critical
 from aplab.rng import stream
 
 
+def bits(members) -> int:
+    return sum(1 << v for v in members)
+
+
 def oracle_free_set(seq, k, target):
-    """The lexicographically first progression-free subset of size target."""
+    """The lexicographically first progression-free subset of size target, as a bitmask."""
     for combo in combinations(range(seq.group.modulus), target):
-        mask = SubsetMask.from_indices(seq.group, combo)
+        mask = bits(combo)
         if ap_average(mask, seq, k).numerator == 0:
-            return combo
+            return mask
     return None
 
 
@@ -50,14 +54,15 @@ def plain_forbidden_sets(seq, k):
 
 
 def plain_free_set(seq, k, target):
-    """Reference: the exact decider as plain branch and bound, no pruning rules.
+    """Reference: the exact decider as plain branch and bound, no pruning rules;
+    a bitmask, or None.
 
     Include-first search over vertices in decreasing-degree order, pruned
     only when too few undecided vertices remain.
     """
     n = seq.group.modulus
     if target <= 0:
-        return ()
+        return 0
     if target > n:
         return None
     edges = minimal_forbidden_sets(seq, k)
@@ -88,7 +93,7 @@ def plain_free_set(seq, k, target):
                 edge_in[ei] -= 1
         return descend(pos + 1, needed)
 
-    return tuple(sorted(chosen)) if descend(0, target) else None
+    return bits(chosen) if descend(0, target) else None
 
 
 def decider_grid(seed, moduli, per_modulus):
@@ -120,7 +125,7 @@ def test_known_verdicts():
     rng = stream(41, 5)
     v = decide(DifferenceSequence(g, (1,)), p, rng)
     assert not v.intersective
-    assert sorted(v.witness.indices()) == [0, 1, 3]
+    assert v.witness == bits([0, 1, 3])
     assert v.method == "exact"
     # zero difference repeats a point, so every nonempty set is covered
     assert decide(DifferenceSequence(g, (0,)), p, rng).intersective
@@ -140,7 +145,7 @@ def test_exact_matches_oracle_small():
         assert got.intersective == oracle_decide(seq, params)
         if got.witness is not None:
             assert ap_average(got.witness, seq, 3).numerator == 0
-            assert got.witness.cardinality >= density_target(g, params)
+            assert got.witness.bit_count() >= density_target(g, params)
 
 
 def test_exact_free_set_matches_oracle_witness():
@@ -168,8 +173,31 @@ def test_exact_limit_enforced():
         v = decide(seq, params, stream(41, 6))
         assert v.method == method
         assert not v.intersective
-        assert v.witness.cardinality >= density_target(seq.group, params)
+        assert v.witness.bit_count() >= density_target(seq.group, params)
         assert ap_average(v.witness, seq, 3).numerator == 0
+
+
+def test_decide_refuses_a_corrupted_witness(monkeypatch):
+    """A witness with one bit flipped into a progression trips the internal
+    check, on the exact path and on the heuristic one."""
+    def flipped(found, seq, k):
+        return next(found | 1 << v for v in range(seq.group.modulus)
+                    if ap_average(found | 1 << v, seq, k).numerator)
+
+    exact, search = intersectivity.exact_free_set, _kernels.apfree_search_kernel
+    small = DifferenceSequence(Group(5), (1,))
+    large = DifferenceSequence(Group(intersectivity.EXACT_LIMIT + 1), (1,))
+
+    def corrupted(*args):
+        size, found = search(*args)
+        return size, flipped(found, large, 3)
+
+    monkeypatch.setattr(intersectivity, "exact_free_set",
+                        lambda *args: flipped(exact(*args), small, 3))
+    monkeypatch.setattr(_kernels, "apfree_search_kernel", corrupted)
+    for seq, params in ((small, ApParams(3, as_density(0.6))), (large, ApParams(3))):
+        with pytest.raises(AssertionError, match="internal error"):
+            decide(seq, params, stream(41, 6))
 
 
 def test_odd_cycle_certificate_is_sound():
@@ -239,9 +267,7 @@ def test_decide_matches_uncertified_reference(monkeypatch):
     for i, (seq, params) in enumerate(cases):
         want = decide(seq, params, stream(61, 2, i))
         assert got[i].intersective == want.intersective, (seq.entries, params)
-        assert (got[i].witness is None) == (want.witness is None)
-        if want.witness is not None:
-            assert got[i].witness.indices() == want.witness.indices()
+        assert got[i].witness == want.witness
     above = [v for (seq, _), v in zip(cases, got) if seq.group.modulus > limit]
     assert {v.method for v in above} == {"exact", "heuristic"}
     assert all(v.intersective for v in above if v.method == "exact")
@@ -306,9 +332,8 @@ def test_heuristic_returns_free_set():
         m = int(rng.integers(1, 5))
         g = Group(n)
         seq = DifferenceSequence.sample(g, m, rng)
-        size, mem = _heuristic_free_set(seq, 3, n + 1, rng)
-        free = SubsetMask(g, mem)
-        assert free.cardinality == size
+        size, free = _heuristic_free_set(seq, 3, n + 1, rng)
+        assert free.bit_count() == size
         if size:
             assert ap_average(free, seq, 3).numerator == 0
 
@@ -317,8 +342,8 @@ def test_heuristic_finds_known_maximum():
     # N=7, D=(1): the largest progression-free set has 4 points
     g = Group(7)
     seq = DifferenceSequence(g, (1,))
-    size, mem = _heuristic_free_set(seq, 3, 8, stream(41, 2))
-    assert size == SubsetMask(g, mem).cardinality == 4
+    size, free = _heuristic_free_set(seq, 3, 8, stream(41, 2))
+    assert size == free.bit_count() == 4
 
 
 def test_heuristic_orders_match_per_row_permutations(monkeypatch):
@@ -331,7 +356,7 @@ def test_heuristic_orders_match_per_row_permutations(monkeypatch):
 
     def capture(n, target, edge_ptr, edge_vtx, sizes, v_ptr, v_edges, perms, removals):
         drawn.append((perms, removals))
-        return 0, np.zeros(n, dtype=np.uint8)
+        return 0, 0
 
     monkeypatch.setattr(_kernels, "apfree_search_kernel", capture)
     restarts = intersectivity.HEURISTIC_RESTARTS_DEFAULT

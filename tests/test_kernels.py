@@ -6,7 +6,7 @@ import numpy as np
 
 from aplab import _kernels as K
 from aplab import norms
-from aplab.counting import DifferenceSequence, RationalCount, SubsetMask, ap_average_all
+from aplab.counting import DifferenceSequence, RationalCount, ap_average_all, ap_count
 from aplab.groups import Group
 from aplab.intersectivity import minimal_forbidden_sets
 from aplab.rng import stream
@@ -58,6 +58,11 @@ def brute_ap_count(member, d, k):
     return sum(all(member[(x + step * d) % n] for step in range(k)) for x in range(n))
 
 
+def to_mask(member):
+    """The int bitmask of a 0/1 vector: bit v set when member[v] is 1."""
+    return sum(1 << v for v in range(len(member)) if member[v])
+
+
 def brute_row_weight(u, d_i, good, r, n):
     def window(x, d):
         return sum(int(u[(x + step * d) % n]) for step in range(1, 2 * r + 1))
@@ -70,7 +75,7 @@ def plain_apfree_search(nvert, target, edge_ptr, edge_vtx, edge_size,
                         v_ptr, v_edges, perms, removals):
     """Reference: the greedy search with every refill scanning all vertices."""
     best_size = 0
-    best_mask = np.zeros(nvert, dtype=np.uint8)
+    best_mask = 0
     in_set = np.zeros(nvert, dtype=np.uint8)
     edge_in = np.zeros(edge_size.shape[0], dtype=np.int64)
 
@@ -94,7 +99,7 @@ def plain_apfree_search(nvert, target, edge_ptr, edge_vtx, edge_size,
                 size += 1
         if size > best_size:
             best_size = size
-            best_mask[:] = in_set
+            best_mask = to_mask(in_set)
         if best_size >= target:
             return best_size, best_mask
         for sw in range(removals.shape[1]):
@@ -112,7 +117,7 @@ def plain_apfree_search(nvert, target, edge_ptr, edge_vtx, edge_size,
                     size += 1
             if size > best_size:
                 best_size = size
-                best_mask[:] = in_set
+                best_mask = to_mask(in_set)
             if best_size >= target:
                 return best_size, best_mask
     return best_size, best_mask
@@ -159,9 +164,8 @@ def test_apfree_search_matches_full_scan():
         for target in {n + 1, greedy, best, best - 1}:
             want = plain_apfree_search(n, target, *arrays, perms, removals)
             got = K.apfree_search_kernel(n, target, *arrays, perms, removals)
-            assert got[0] == want[0], (n, target, perms.shape, removals.shape)
-            assert np.array_equal(got[1], want[1]), (n, target)
-            assert got[1].dtype == np.uint8
+            assert got == want, (n, target, perms.shape, removals.shape)
+            assert type(got[1]) is int
     assert swap_only > 0
 
 
@@ -187,8 +191,7 @@ def test_apfree_search_ignores_edge_order_and_repeats():
             want = K.apfree_search_kernel(n, target, *arrays, perms, removals)
             got = K.apfree_search_kernel(n, target, m_ptr, m_vtx, np.diff(m_ptr),
                                          m_vptr, m_vedges, perms, removals)
-            assert got[0] == want[0], (n, target)
-            assert np.array_equal(got[1], want[1]), (n, target)
+            assert got == want, (n, target)
     assert max(moduli) > 128
 
 
@@ -300,15 +303,16 @@ def test_enumeration_working_set_is_bounded():
     assert cube_peak < 1 << 20, cube_peak
 
 
-def test_ap_count_kernel_paths_agree():
-    """``ap_count_kernel`` and the brute-force path agree."""
+def test_ap_count_agrees_with_brute_force():
+    """``ap_count`` on the bitmask and the brute-force count on the 0/1 vector agree."""
     rng = stream(31, 3)
     for _ in range(30):
         n = int(rng.integers(2, 20))
         member = (rng.random(n) < 0.5).astype(np.uint8)
         d = int(rng.integers(0, n))
         k = int(rng.integers(2, 6))
-        assert K.ap_count_kernel(member, d, k) == brute_ap_count(member, d, k)
+        want = RationalCount(brute_ap_count(member, d, k), n)
+        assert ap_count(Group(n), to_mask(member), d, k) == want
 
 
 def test_all_diffs_kernel_paths_agree():
@@ -319,7 +323,7 @@ def test_all_diffs_kernel_paths_agree():
         member = (rng.random(n) < 0.6).astype(np.uint8)
         k = int(rng.integers(2, 5))
         want = sum(brute_ap_count(member, d, k) for d in range(n))
-        assert ap_average_all(SubsetMask(Group(n), member), k) == RationalCount(want, n * n)
+        assert ap_average_all(Group(n), to_mask(member), k) == RationalCount(want, n * n)
 
 
 def test_poly_eval_kernel_paths_agree():

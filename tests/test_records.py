@@ -2,7 +2,6 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from aplab.records import append_ledger, dumps_record, format_float, iter_ledger
@@ -20,7 +19,7 @@ def test_float_formatting_is_shortest_exact():
 def test_dumps_preserves_insertion_order_and_types():
     rec = {"b": 1, "a": 2, "nested": {"z": True, "y": False},
            "frac": Fraction(22, 7), "none": None,
-           "arr": np.array([1, 2, 3]), "f": np.float64(0.25)}
+           "arr": (1, 2, 3), "f": 0.25}
     text = dumps_record(rec)
     assert text.index('"b"') < text.index('"a"')  # no key sorting
     back = json.loads(text)
