@@ -11,7 +11,11 @@ assertion, runtime error or unwritable ledger, 2 usage.
 
 Every command runs in a fresh interpreter, where start-up is a large
 share of a short run, so the module level holds only what every
-subcommand uses; each handler imports the other layers it calls.
+subcommand uses, and no numpy; each handler imports the other layers it
+calls.  ``critical-size`` and ``check`` at N up to ``EXACT_LIMIT`` run on
+int bitmasks and the pure-Python stream and never load numpy; above it
+the heuristic search loads numpy where it runs, and every other
+subcommand loads it too.
 
 BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``:
 an idle OpenBLAS pool spins on every core for no work in a short run,
@@ -25,12 +29,11 @@ import sys
 import time
 from fractions import Fraction
 
-# OpenBLAS reads this only when numpy loads; a process that loaded numpy
-# first keeps its own policy, and its children inherit nothing new.
+# OpenBLAS reads this only when numpy loads, which here is later, in the
+# handler that needs it; a process that loaded numpy first keeps its own
+# policy, and its children inherit nothing new.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from .counting import DifferenceSequence
 from .groups import (MAX_PROGRESSION_LENGTH, ApParams, Group, as_density,
@@ -126,6 +129,8 @@ def cmd_check(args) -> dict:
 
 
 def _verify_embedding_identity(payload, seed, inject_fault: bool):
+    import numpy as np
+
     from . import discrepancy, embedding
     group = Group(11)
     s, r = 2, 1
@@ -192,6 +197,8 @@ def _verify_dominance(payload, seed):
 
 
 def _verify_norm_chain(payload, seed):
+    import numpy as np
+
     from . import norms
     rng = stream(seed, 14)
     for rep in range(20):
@@ -339,6 +346,8 @@ def cmd_kimvu(args) -> dict:
 
 
 def cmd_norms(args) -> dict:
+    import numpy as np
+
     from . import embedding, norms
     params = {"demo": args.demo}
     if args.demo == "window":  # the 55 x 55 aggregated subset-pair matrix
@@ -466,8 +475,9 @@ def _validate(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # the subcommand's usage; argparse would print the top level's
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     problem = _validate(args)
     if problem is not None:
         args.parser.error(problem)  # the subcommand's usage; exits 2

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from . import _kernels
 from .counting import DifferenceSequence, ap_average
 from .groups import ApParams, Group, density_target
 from .rng import stream
@@ -57,26 +54,29 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
     does, and each base is kept or dropped for all x together.  A
     translate y + B_c inside B_d must carry 0 of B_c onto a point y of
     B_d, so testing the shifts y in B_d of each smaller base decides it.
-    The kept bases' translates are then the minimal supports.  Per size,
-    all n translates of every kept base form one integer array with each
-    row sorted; the rows are sorted lexicographically and adjacent equal
-    rows dropped, since translates coincide when D holds N/2 or N/3.
+    The kept bases' translates are then the minimal supports.  With b the
+    sorted base of s points (b[0] = 0), the translate x + b wraps exactly
+    its points b[j:] past N when x lies in [N - b[j], N - b[j-1]) (read
+    N - b[s] as 0), and there its sorted tuple is x - N + (b[j:] +
+    (b[:j] + N)): one run of sorted translates per j = 1..s, zipped from
+    ranges.  One set per size drops the translates that coincide, as they
+    do when D holds N/2 or N/3, or both d and N - d.
     """
     n = seq.group.modulus
     bases = _base_supports(seq, k)
     kept = [b for b in bases
             if not any(len(c) < len(b) and all((y + z) % n in b for z in c)
                        for c in bases for y in b)]
-    supports = []
-    for size in sorted({len(b) for b in kept}):
-        same = np.array([list(b) for b in kept if len(b) == size], dtype=np.int64)
-        rows = np.sort((np.arange(n)[:, None, None] + same) % n, axis=2, kind="stable")
-        rows = rows.reshape(-1, size)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        fresh = np.ones(len(rows), dtype=bool)
-        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        supports += map(tuple, rows[fresh].tolist())
-    return supports
+    by_size: dict[int, set[tuple[int, ...]]] = {}
+    for base in kept:
+        b = sorted(base)
+        size = len(b)
+        ext = b + [v + n for v in b]
+        found = by_size.setdefault(size, set())
+        for j in range(1, size + 1):
+            lo, hi = (n - b[j] if j < size else 0), n - b[j - 1]
+            found.update(zip(*(range(e + lo - n, e + hi - n) for e in ext[j:j + size])))
+    return [row for size in sorted(by_size) for row in sorted(by_size[size])]
 
 
 def odd_cycle_certified(seq: DifferenceSequence, k: int, target: int) -> bool:
@@ -185,6 +185,9 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[int
 def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
                         rng) -> tuple[int, int]:
     """Greedy-plus-swaps search; returns (best size, member bitmask)."""
+    import numpy as np
+
+    from . import _kernels
     n = seq.group.modulus
     edges = minimal_forbidden_sets(seq, k)
     edge_ptr, edge_vtx, v_ptr, v_edges = _kernels.csr_incidence(edges, n)

@@ -214,12 +214,16 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 def test_range_errors_report_their_subcommand_usage(capsys, tmp_path):
     """A value refused after parsing, such as a difference outside 0..N-1,
-    prints its subcommand's usage, not the top-level one."""
+    and a flag the subcommand does not take print the subcommand's usage,
+    not the top-level one."""
     for argv, message in ((["check", "--modulus", "7", "--differences", "9"],
                            "differences must lie in 0..6"),
                           (["critical-size", "--modulus", "0"], "modulus must be positive"),
                           (["kimvu", "--k", "4"], "half-length r requires odd k"),
-                          (["norms", "--demo", "window", "--dim", "8"], "takes no dim")):
+                          (["norms", "--demo", "window", "--dim", "8"], "takes no dim"),
+                          (["kimvu", "--s", "1"], "unrecognized arguments: --s 1"),
+                          (["check", "--modulus", "7", "--differences", "1", "--bogus"],
+                           "unrecognized arguments: --bogus")):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         captured = capsys.readouterr()
@@ -418,8 +422,9 @@ needs_thread_count = pytest.mark.skipif(
 @needs_thread_count
 @pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
 def test_cli_runs_blas_on_one_thread_unless_the_caller_says(env, threads):
-    """Importing the CLI starts no idle BLAS pool; the caller's OpenBLAS setting wins."""
-    script = "import os, aplab.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+    """numpy loaded after the CLI starts no idle BLAS pool; the caller's OpenBLAS
+    setting wins.  The CLI itself loads no numpy at import."""
+    script = "import os, aplab.cli, numpy\nprint(len(os.listdir('/proc/self/task')))\n"
     assert int(fresh_interpreter(["-c", script], **env).stdout) == threads
 
 

@@ -1,11 +1,14 @@
 """Every module-level import in the package and the tests is used, every
 name the package defines is referenced somewhere, importing the package
-loads none of its modules, and its counting layer loads no numpy."""
+loads none of its modules, and neither its counting layer nor the exact
+``critical-size`` and ``check`` path loads numpy."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "aplab").glob("*.py"))
@@ -140,6 +143,29 @@ def test_counting_layer_loads_no_numpy():
     loads no numpy: subsets are int bitmasks and payloads hold builtins."""
     script = ("import sys\n"
               "import aplab.counting, aplab.groups, aplab.records\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),\n"
+              "      file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert done.stderr.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("script", [
+    "import aplab.cli",
+    "import aplab.rng",
+    "import aplab.intersectivity",
+    "import aplab.cli\n"
+    "aplab.cli.main(['critical-size', '--modulus', '31', '--k', '2', '--epsilon', '0.45',\n"
+    "                '--trials', '8', '--seed', '1012', '--out', LEDGER])",
+    "import aplab.cli\n"
+    "aplab.cli.main(['check', '--modulus', '31', '--differences', '1,5', '--out', LEDGER])",
+], ids=["cli", "rng", "intersectivity", "critical-size", "check"])
+def test_exact_decisions_load_no_numpy(tmp_path, script):
+    """A fresh interpreter that imports the CLI, the stream or the decider, or
+    runs ``critical-size`` or ``check`` at N = 31, within ``EXACT_LIMIT``,
+    ends with no numpy module loaded: those decisions are exact integer work
+    on draws from the pure-Python stream."""
+    script = (f"import sys\nLEDGER = {str(tmp_path / 'runs.ledger')!r}\n{script}\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),\n"
               "      file=sys.stderr)\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -302,7 +302,7 @@ def test_minimal_forbidden_sets_match_superset_scan():
         specials = [0] + [n // j for j in (2, 3) if n % j == 0]
         for k in range(1, 6):
             for extra in [[]] + [[d] for d in specials]:
-                entries = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist() + extra
+                entries = list(rng.integers(0, n, size=int(rng.integers(1, 4)))) + extra
                 seq = DifferenceSequence(Group(n), tuple(entries))
                 assert minimal_forbidden_sets(seq, k) == plain_forbidden_sets(seq, k), entries
 
@@ -319,7 +319,7 @@ def test_minimal_forbidden_sets_give_every_vertex_one_degree():
         specials = [0] + [n // j for j in (2, 3) if n % j == 0]
         for k in range(1, 6):
             for extra in [[], [], specials]:
-                entries = rng.integers(0, n, size=int(rng.integers(1, 5))).tolist() + extra
+                entries = list(rng.integers(0, n, size=int(rng.integers(1, 5)))) + extra
                 sets = minimal_forbidden_sets(DifferenceSequence(Group(n), tuple(entries)), k)
                 degrees = np.bincount([v for s in sets for v in s], minlength=n)
                 assert degrees.min() == degrees.max(), (n, k, entries)

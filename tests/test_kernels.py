@@ -140,7 +140,7 @@ def search_grid(seed):
             k = count % 5 + 1
             restarts, passes = shapes[count % 4]
             count += 1
-            entries = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist() + extra
+            entries = list(rng.integers(0, n, size=int(rng.integers(1, 4)))) + extra
             edges = minimal_forbidden_sets(DifferenceSequence(Group(n), tuple(entries)), k)
             ptr, vtx, v_ptr, v_edges = K.csr_incidence(edges, n)
             perms = np.stack([rng.permutation(n) for _ in range(restarts)]).astype(np.int64)
@@ -256,7 +256,7 @@ def test_infone_enumeration_matches_brute_force():
     rng = stream(31, 2)
     mats = [rng.integers(-3, 4, size=(d, d)).astype(np.float64)
             for d in list(rng.integers(1, 12, size=20)) + [12, 13, 14, 16, 17, 18, 19]]
-    row = rng.integers(-2, 3, size=9).astype(np.float64)
+    row = np.array(rng.integers(-2, 3, size=9), dtype=np.float64)
     mats += [np.zeros((1, 1)), np.array([[-2.0]]), np.zeros((7, 7)), np.eye(1),
              np.eye(6), np.eye(17), np.tile(row, (9, 1)),
              np.vstack([row, row, -row, np.eye(9)[:6]])]
@@ -335,7 +335,7 @@ def test_poly_eval_kernel_paths_agree():
         edges = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
                                    replace=False).tolist())
                  for _ in range(nedges)]
-        mult = rng.integers(1, 4, size=nedges).astype(np.int64)
+        mult = np.array(rng.integers(1, 4, size=nedges), dtype=np.int64)
         x = (rng.random(n) < 0.5).astype(np.uint8)
         ptr, vtx, _, _ = K.csr_incidence(edges, n)
         rows = np.stack([x, 1 - x, np.ones_like(x)])
@@ -353,7 +353,7 @@ def test_row_weight_kernel_paths_agree():
         n = int(rng.integers(5, 14))
         m = int(rng.integers(2, 5))
         r = int(rng.integers(1, 3))
-        diffs = rng.integers(0, n, size=m).astype(np.int64)
+        diffs = np.array(rng.integers(0, n, size=m), dtype=np.int64)
         good = np.arange(1, m, dtype=np.int64)
         u = (rng.random(n) < 0.3).astype(np.uint8)
         want = brute_row_weight(u, int(diffs[0]), diffs[good], r, n)
