@@ -169,19 +169,6 @@ def poly_eval01_kernel(edge_ptr, edge_vtx, edge_mult, x):
     return hits.astype(np.int64) @ edge_mult
 
 
-def row_weight_kernel(u, d_i, good, r, n):
-    """Count (d_j, x) pairs whose two forward windows each meet u in r points."""
-    xs = np.arange(n)
-    steps = np.arange(1, 2 * r + 1)
-    ci = u[(xs[:, None] + steps[None, :] * d_i) % n].sum(axis=1)
-    hit_i = ci == r
-    total = 0
-    for d_j in good:
-        cj = u[(xs[:, None] + steps[None, :] * int(d_j)) % n].sum(axis=1)
-        total += int((hit_i & (cj == r)).sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # greedy independent-set search with swap passes
 #

@@ -148,9 +148,7 @@ def _verify_embedding_identity(payload, seed, inject_fault: bool):
                     mat.entries[key] += 1
                 for _ in range(3):
                     z = spawn_signs(rng, group.modulus).astype(np.int64)
-                    quad = mat.quadratic_form(embedding.lift_signs(z, s))
-                    rhs = (embedding.embedding_scale(group.modulus, s, r)
-                           * embedding.pair_window_sum(seq, i, j, r, z))
+                    quad, rhs = embedding.identity_sides(seq, i, j, mat, z)
                     checked += 1
                     if quad != rhs:
                         detail = (f"replay: N=11 s=2 r=1 D={list(seq.entries)} "

@@ -2,8 +2,8 @@
 
 A subset is a Python int bitmask: bit v is set when v is in the set.
 Counts are carried as unreduced integer ratios so that averages over a
-difference sequence (denominator m*N) and over the whole group
-(denominator N^2) can be compared without rounding.
+difference sequence (denominator m*N) and over the whole group, the
+sequence 0..N-1 (denominator N^2), can be compared without rounding.
 """
 from __future__ import annotations
 
@@ -72,19 +72,6 @@ def _starts(mask: int, n: int, d: int, k: int) -> int:
     return acc.bit_count()
 
 
-def ap_count(group: Group, mask: int, d: int, k: int) -> RationalCount:
-    """Fraction of starts x whose progression x, x+d, ..., x+(k-1)d stays in the mask.
-
-    Exact value count/N where count is an integer in [0, N].
-    """
-    n = group.modulus
-    if not 0 <= d < n:
-        raise ValueError("difference outside the group")
-    if k < 1:
-        raise ValueError("progression length must be at least 1")
-    return RationalCount(_starts(mask, n, d, k), n)
-
-
 def ap_average(mask: int, seq: DifferenceSequence, k: int) -> RationalCount:
     """Progression density averaged over the sequence, exact over m*N."""
     n = seq.group.modulus
@@ -96,11 +83,3 @@ def ap_average(mask: int, seq: DifferenceSequence, k: int) -> RationalCount:
         total += cache[d]
     return RationalCount(total, len(seq) * n)
 
-
-def ap_average_all(group: Group, mask: int, k: int) -> RationalCount:
-    """Progression density averaged over every difference, exact over N^2."""
-    if k < 1:
-        raise ValueError("progression length must be at least 1")
-    n = group.modulus
-    total = sum(_starts(mask, n, d, k) for d in range(n))
-    return RationalCount(total, n * n)

@@ -258,7 +258,6 @@ class GoodSetResult:
     collision_bound: int
     multiplicity: int
     multiplicity_bound: float
-    attempts_used: int
 
 
 class GoodSetSearchError(RuntimeError):
@@ -281,12 +280,12 @@ def good_set_search(group: Group, params: ApParams, m: int, rng) -> GoodSetResul
     c_bound = collision_threshold(n, m, r)
     m_bound = multiplicity_threshold(n)
     best: Optional[GoodSetResult] = None
-    for made in range(1, GOOD_SET_ATTEMPTS + 1):
+    for _ in range(GOOD_SET_ATTEMPTS):
         seq = DifferenceSequence.sample(group, m, rng)
         part = IndexPartition.random_balanced(m, rng)
         coll = collision_count(seq, part, r)
         mult = max_multiplicity(seq, r)
-        result = GoodSetResult(seq, part, coll, c_bound, mult, m_bound, made)
+        result = GoodSetResult(seq, part, coll, c_bound, mult, m_bound)
         if coll <= c_bound and mult <= m_bound:
             return result
         if best is None or (coll, mult) < (best.collisions, best.multiplicity):

@@ -6,8 +6,8 @@ starts x where S meets each window in exactly r points and T is the
 symmetric difference of S with the union window.  Rows and columns are
 indexed by the s-subsets of Z/N in colexicographic order.  The heart of
 the module is the exact quadratic identity tying these matrices to
-window sums of sign products, plus the pruning step that removes heavy
-rows without losing control of the matrix norms.
+window sums of sign products, and the chain of norm bounds that an
+aggregate of them satisfies.
 """
 from __future__ import annotations
 
@@ -99,13 +99,6 @@ class EmbeddingMatrix:
         """Sum of all entries; equals the all-ones quadratic form."""
         return sum(self.entries.values())
 
-    def row_weights(self) -> np.ndarray:
-        """Absolute row sums (the l1 weight of each row)."""
-        w = np.zeros(self.dim, dtype=np.int64)
-        for (row, _), v in self.entries.items():
-            w[row] += abs(v)
-        return w
-
     def quadratic_form(self, vec) -> int:
         """Exact v^T M v for an integer vector over the subset index."""
         arr = np.ascontiguousarray(vec, dtype=np.int64)
@@ -131,19 +124,6 @@ class EmbeddingMatrix:
             for key, v in other.entries.items():
                 acc[key] = acc.get(key, 0) + coef * v
         return EmbeddingMatrix(self.n, self.s, self.r, acc)
-
-    def prune(self, threshold: float) -> tuple["EmbeddingMatrix", tuple[int, ...]]:
-        """Zero every row and column whose l1 weight reaches the threshold.
-
-        Surviving rows then have weight strictly below the threshold,
-        which caps the 1->1 norm and hence the spectral norm of the
-        symmetric remainder.
-        """
-        weights = self.row_weights()
-        cut = {int(i) for i in np.flatnonzero(weights >= threshold)}
-        kept = {k: v for k, v in self.entries.items()
-                if k[0] not in cut and k[1] not in cut}
-        return EmbeddingMatrix(self.n, self.s, self.r, kept), tuple(sorted(cut))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EmbeddingMatrix)
@@ -198,11 +178,6 @@ def embedding_scale(n: int, s: int, r: int) -> int:
     return comb(2 * r, r) ** 2 * comb(n - 4 * r, s - 2 * r)
 
 
-def embedding_total_closed_form(n: int, s: int, r: int) -> int:
-    """All-ones quadratic form of a good-pair matrix: scale * N."""
-    return embedding_scale(n, s, r) * n
-
-
 def pair_window_sum(seq: DifferenceSequence, i: int, j: int, r: int, Z) -> int:
     """sum_x prod over the union window at x of Z, an exact integer.
 
@@ -216,20 +191,17 @@ def pair_window_sum(seq: DifferenceSequence, i: int, j: int, r: int, Z) -> int:
     return int(H[i] @ H[j])
 
 
-def verify_embedding_identity(seq: DifferenceSequence, i: int, j: int, s: int,
-                              r: int, Z) -> bool:
-    """Exact check of (lift Z)^T M (lift Z) == scale * window sum.
+def identity_sides(seq: DifferenceSequence, i: int, j: int, mat: EmbeddingMatrix,
+                   Z) -> tuple[int, int]:
+    """Both sides of (lift Z)^T M (lift Z) == scale * window sum, exact integers.
 
-    For colliding pairs the matrix is zero and the check degenerates to
-    the quadratic form vanishing.
+    ``mat`` is the pair matrix of the good pair (i, j), or a corrupted
+    copy of it; a colliding pair raises ``ValueError`` as in
+    ``pair_window_sum``.
     """
-    mat = pair_embedding(seq, i, j, s, r)
-    lifted = lift_signs(Z, s)
-    quad = mat.quadratic_form(lifted)
-    if not is_good_pair(seq, i, j, r):
-        return quad == 0
-    rhs = embedding_scale(mat.n, s, r) * pair_window_sum(seq, i, j, r, Z)
-    return quad == rhs
+    quad = mat.quadratic_form(lift_signs(Z, mat.s))
+    rhs = embedding_scale(mat.n, mat.s, mat.r) * pair_window_sum(seq, i, j, mat.r, Z)
+    return quad, rhs
 
 
 def aggregate_pair_embeddings(seq: DifferenceSequence, i: int, tau, right, s: int,
@@ -246,24 +218,6 @@ def aggregate_pair_embeddings(seq: DifferenceSequence, i: int, tau, right, s: in
     pieces = [(int(ta[pos]), pair_embedding(seq, i, j, s, r))
               for pos, j in enumerate(right)]
     return acc.scale_add(pieces)
-
-
-def default_prune_threshold(n: int, k: int, m: int) -> float:
-    """Row-weight cutoff (log N)^k * m / N^(1 - 2/k)."""
-    if n < 2:
-        raise ValueError("threshold defined for N >= 2")
-    return (np.log(n) ** k) * m / n ** (1.0 - 2.0 / k)
-
-
-def prune_distance(original: EmbeddingMatrix, pruned: EmbeddingMatrix) -> int:
-    """Total l1 weight of the removed entries.
-
-    Summing the removed rows' weights bounds the max-over-sign-vectors
-    bilinear gap between the two matrices, since each sign pattern picks
-    every entry with coefficient of modulus one.
-    """
-    diff = original.scale_add([(-1, pruned)])
-    return sum(abs(v) for v in diff.entries.values())
 
 
 @dataclass(frozen=True)

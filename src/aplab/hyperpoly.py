@@ -1,12 +1,12 @@
 """Multilinear edge polynomials over 0/1 inputs and their moment profiles.
 
 A hypergraph with repeated edges induces the polynomial
-f(x) = sum_e mult(e) * prod_{v in e} x_v.  The module computes f and its
-partial-derivative sums f_A exactly, the mu profile (worst conditional
-expectation per fixed-set size under Bernoulli inputs), the window-pair
-hypergraph whose evaluations dominate row weights of the subset-pair
-matrices, the exact comparison of uniform fixed-size inputs with
-Bernoulli inputs, and an empirical tail probe.
+f(x) = sum_e mult(e) * prod_{v in e} x_v.  The module computes the mu
+profile (worst expectation of the partial-derivative sums f_A per
+fixed-set size under Bernoulli inputs), the window-pair hypergraph whose
+evaluations dominate row weights of the subset-pair matrices, the exact
+comparison of uniform fixed-size inputs with Bernoulli inputs, and an
+empirical tail probe.
 """
 from __future__ import annotations
 
@@ -69,41 +69,6 @@ class HypergraphPoly:
                 f"max_size={self.max_edge_size()})")
 
 
-def poly_value(h: HypergraphPoly, x) -> int:
-    """f(x) for a 0/1 vector, an exact integer."""
-    arr = np.ascontiguousarray(x, dtype=np.uint8)
-    if arr.shape != (h.n,):
-        raise ValueError(f"input must have length {h.n}")
-    if arr.max(initial=0) > 1:
-        raise ValueError("input entries must be 0 or 1")
-    ptr, vtx, mult = h._arrays()
-    return int(_kernels.poly_eval01_kernel(ptr, vtx, mult, arr))
-
-
-def partial_value(h: HypergraphPoly, fixed: Iterable[int], x) -> int:
-    """f_A(x) = sum over edges containing A of the product off A.
-
-    The empty product counts 1, so A equal to an edge contributes its
-    multiplicity regardless of x.
-    """
-    a = frozenset(int(v) for v in fixed)
-    arr = np.ascontiguousarray(x, dtype=np.uint8)
-    if arr.shape != (h.n,):
-        raise ValueError(f"input must have length {h.n}")
-    total = 0
-    for edge, mult in h._edges.items():
-        es = frozenset(edge)
-        if not a <= es:
-            continue
-        val = 1
-        for v in es - a:
-            if arr[v] == 0:
-                val = 0
-                break
-        total += mult * val
-    return total
-
-
 @dataclass(frozen=True)
 class MuProfile:
     p: Fraction
@@ -146,7 +111,7 @@ def mu_profile(h: HypergraphPoly, p) -> MuProfile:
 
 
 # ---------------------------------------------------------------------------
-# window-pair hypergraph and the row-weight statistic
+# window-pair hypergraph
 
 
 def build_pair_weight_hypergraph(seq: DifferenceSequence, i: int, right,
@@ -171,63 +136,6 @@ def build_pair_weight_hypergraph(seq: DifferenceSequence, i: int, right,
                 for pick_j in combinations(win_j, r):
                     h.add_edge(pick_i + pick_j)
     return h
-
-
-def row_weight_value(seq: DifferenceSequence, i: int, right, r: int, u_mask) -> int:
-    """Direct double sum: over good j and starts x, count windows meeting
-    the 0/1 vector in exactly r points on both sides."""
-    n = seq.group.modulus
-    arr = np.ascontiguousarray(u_mask, dtype=np.uint8)
-    if arr.shape != (n,):
-        raise ValueError(f"mask must have length {n}")
-    good = np.array([seq.entries[j] for j in right if is_good_pair(seq, i, j, r)],
-                    dtype=np.int64)
-    if good.shape[0] == 0:
-        return 0
-    return int(_kernels.row_weight_kernel(arr, seq.entries[i], good, r, n))
-
-
-def sample_row_weight(seq: DifferenceSequence, i: int, right, s: int, r: int,
-                      rng) -> int:
-    """Row-weight statistic at a uniform s-subset of the group."""
-    n = seq.group.modulus
-    if not 0 <= s <= n:
-        raise ValueError("subset size outside 0..N")
-    picks = rng.choice(n, size=s, replace=False)
-    u = np.zeros(n, dtype=np.uint8)
-    u[picks] = 1
-    return row_weight_value(seq, i, right, r, u)
-
-
-def row_weight_mean_closed_form(seq: DifferenceSequence, i: int, right, s: int,
-                                r: int) -> Fraction:
-    """Exact mean of the row-weight statistic over uniform s-subsets.
-
-    With both windows disjoint, the chance a uniform s-subset meets each
-    in exactly r points is hypergeometric, giving
-    comb(2r,r)^2 comb(N-4r, s-2r) N good_count / comb(N, s).
-    """
-    n = seq.group.modulus
-    good_count = sum(1 for j in right if is_good_pair(seq, i, j, r))
-    if s < 2 * r or n - 4 * r < s - 2 * r:
-        return Fraction(0)
-    hits = comb(2 * r, r) ** 2 * comb(n - 4 * r, s - 2 * r) * n * good_count
-    return Fraction(hits, comb(n, s))
-
-
-def row_weight_mean_enumerated(seq: DifferenceSequence, i: int, right, s: int,
-                               r: int) -> Fraction:
-    """Mean by full enumeration of all comb(N, s) subsets."""
-    n = seq.group.modulus
-    total = 0
-    count = 0
-    u = np.zeros(n, dtype=np.uint8)
-    for sub in combinations(range(n), s):
-        u[:] = 0
-        u[list(sub)] = 1
-        total += row_weight_value(seq, i, right, r, u)
-        count += 1
-    return Fraction(total, count)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ EXACT_LIMIT = 40  # largest N decided exactly; read at call time
 HEURISTIC_RESTARTS_DEFAULT = 32
 HEURISTIC_PASSES_DEFAULT = 8
 _STABILIZE_ROUNDS = 12
-CONFIDENCE = 0.95  # of every Wilson interval
-# the normal quantile NormalDist().inv_cdf(0.5 + CONFIDENCE / 2), to the last bit
+# the normal quantile NormalDist().inv_cdf(0.5 + 0.95 / 2) of every 95%
+# Wilson interval, to the last bit
 WILSON_Z = 1.9599639845400536
 
 
@@ -237,7 +237,7 @@ def trial(group: Group, params: ApParams, m: int, rng) -> bool:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion at ``CONFIDENCE``."""
+    """Wilson score interval for a binomial proportion at 95% confidence."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:

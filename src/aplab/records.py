@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterator
 
 VERSION = "0.1.0"
 
@@ -49,12 +48,4 @@ def dumps_record(record: dict) -> str:
 def append_ledger(path: str, record: dict) -> None:
     with open(path, "a", encoding="ascii") as fh:
         fh.write(dumps_record(record) + "\n")
-
-
-def iter_ledger(path: str) -> Iterator[dict]:
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 

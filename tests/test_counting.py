@@ -2,14 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from aplab.counting import (DifferenceSequence, RationalCount, ap_average,
-                            ap_average_all, ap_count)
+from aplab.counting import DifferenceSequence, RationalCount, ap_average
 from aplab.groups import Group
 from aplab.rng import stream
 
 
 def bits(members) -> int:
     return sum(1 << v for v in members)
+
+
+def single(g: Group, d: int) -> DifferenceSequence:
+    """The one-entry sequence (d,): ``ap_average`` on it counts over N."""
+    return DifferenceSequence(g, (d,))
+
+
+def every(g: Group) -> DifferenceSequence:
+    """The sequence 0..N-1: ``ap_average`` on it counts over N^2."""
+    return DifferenceSequence(g, tuple(range(g.modulus)))
 
 
 def brute_count(members: set, n: int, d: int, k: int) -> int:
@@ -31,29 +40,27 @@ def test_subset_mask_basics():
     g = Group(7)
     m = bits([0, 3, 5])
     assert m.bit_count() == 3
-    assert ap_count(g, m, 1, 1) == RationalCount(3, 7)
-    seq = DifferenceSequence(g, (1,))
+    seq = single(g, 1)
+    assert ap_average(m, seq, 1) == RationalCount(3, 7)
     for bad in (bits([7]), bits([0, 3, 9]), -1):
-        with pytest.raises(ValueError):
-            ap_count(g, bad, 1, 3)
         with pytest.raises(ValueError):
             ap_average(bad, seq, 3)
         with pytest.raises(ValueError):
-            ap_average_all(g, bad, 3)
+            ap_average(bad, every(g), 3)
 
 
-def test_ap_count_known_values():
+def test_single_difference_known_values():
     g = Group(5)
     mask = bits([0, 1, 3])
-    assert ap_count(g, mask, 3, 3) == RationalCount(1, 5)  # only 0,3,1
-    assert ap_count(g, mask, 1, 3).numerator == 0
+    assert ap_average(mask, single(g, 3), 3) == RationalCount(1, 5)  # only 0,3,1
+    assert ap_average(mask, single(g, 1), 3).numerator == 0
     g7 = Group(7)
-    assert ap_count(g7, bits([0, 1, 3, 4]), 1, 3).numerator == 0
+    assert ap_average(bits([0, 1, 3, 4]), single(g7, 1), 3).numerator == 0
     # full set carries all N starts for any difference
-    assert ap_count(g, bits(range(5)), 2, 3) == RationalCount(5, 5)
+    assert ap_average(bits(range(5)), single(g, 2), 3) == RationalCount(5, 5)
 
 
-def test_ap_count_matches_brute_force():
+def test_single_difference_matches_brute_force():
     rng = stream(17, 0)
     for _ in range(40):
         n = int(rng.integers(3, 14))
@@ -62,7 +69,7 @@ def test_ap_count_matches_brute_force():
         pick = rng.random(n) < 0.5
         members = {i for i in range(n) if pick[i]}
         d = int(rng.integers(0, n))
-        got = ap_count(g, bits(members), d, k)
+        got = ap_average(bits(members), single(g, d), k)
         assert got.numerator == brute_count(members, n, d, k)
         assert got.denominator == n
 
@@ -74,7 +81,7 @@ def test_ap_average_and_all():
     tot = ap_average(mask, seq, 3)
     want = sum(brute_count({0, 1, 2}, 5, d, 3) for d in (1, 1, 3))
     assert (tot.numerator, tot.denominator) == (want, 15)
-    alltot = ap_average_all(g, mask, 3)
+    alltot = ap_average(mask, every(g), 3)
     assert alltot == RationalCount(5, 25)
     wantall = sum(brute_count({0, 1, 2}, 5, d, 3) for d in range(5))
     assert alltot.numerator == wantall

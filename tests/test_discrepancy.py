@@ -7,7 +7,7 @@ import pytest
 
 from aplab import _kernels
 from aplab import discrepancy as D
-from aplab.counting import DifferenceSequence, ap_average, ap_average_all, ap_count
+from aplab.counting import DifferenceSequence, ap_average
 from aplab.groups import ApParams, Group
 from aplab.rng import spawn_signs, stream
 
@@ -54,10 +54,11 @@ def brute_max_pm(seq, sigma, k):
 def brute_max_01(seq, sigma, k):
     # over indicators the product form reduces to progression counts
     g = seq.group
+    singles = [DifferenceSequence(g, (d,)) for d in seq.entries]
     best = 0
     for mask in range(1 << g.modulus):
-        tot = sum(int(s) * ap_count(g, mask, d, k).numerator
-                  for s, d in zip(sigma, seq.entries))
+        tot = sum(int(s) * ap_average(mask, one, k).numerator
+                  for s, one in zip(sigma, singles))
         best = max(best, abs(tot))
     return best
 
@@ -107,6 +108,8 @@ def test_multilinear_dominance_repeated_point():
 def brute_symmetrization(group, m, k):
     """Independent re-derivation of both expectation sides."""
     n = group.modulus
+    every = DifferenceSequence(group, tuple(range(n)))
+    singles = [DifferenceSequence(group, (d,)) for d in range(n)]
     lhs = Fraction(0)
     rhs = Fraction(0)
     seqs = list(product(range(n), repeat=m))
@@ -114,14 +117,14 @@ def brute_symmetrization(group, m, k):
         seq = DifferenceSequence(group, entries)
         best = Fraction(0)
         for mask in range(1 << n):
-            gap = abs(ap_average(mask, seq, k).value - ap_average_all(group, mask, k).value)
+            gap = abs(ap_average(mask, seq, k).value - ap_average(mask, every, k).value)
             best = max(best, gap)
         lhs += best
         sbest = Fraction(0)
         for signs in product((1, -1), repeat=m):
             cur = Fraction(0)
             for mask in range(1 << n):
-                tot = sum(s * ap_count(group, mask, d, k).numerator
+                tot = sum(s * ap_average(mask, singles[d], k).numerator
                           for s, d in zip(signs, entries))
                 cur = max(cur, abs(Fraction(tot, m * n)))
             sbest += cur

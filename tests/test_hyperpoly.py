@@ -5,7 +5,10 @@ from math import log
 
 import numpy as np
 import pytest
+from oracles import (poly_value, row_weight, row_weight_mean_closed_form,
+                     row_weight_mean_enumerated, sample_row_weight)
 
+from aplab import _kernels
 from aplab import hyperpoly as H
 from aplab.counting import DifferenceSequence
 from aplab.groups import Group
@@ -31,6 +34,8 @@ def test_hypergraph_construction():
 
 
 def test_poly_value_brute_force():
+    """The CSR arrays of ``HypergraphPoly`` through ``poly_eval01_kernel``, as
+    ``tail_probe`` evaluates f, against the edge-by-edge sum."""
     rng = stream(71, 0)
     for _ in range(20):
         n = int(rng.integers(2, 9))
@@ -41,21 +46,7 @@ def test_poly_value_brute_force():
             h.add_edge(rng.choice(n, size=size, replace=False).tolist(),
                        mult=int(rng.integers(1, 4)))
         x = (rng.random(n) < 0.5).astype(np.int64)
-        want = sum(mult for e, mult in h.edges() if all(x[v] for v in e))
-        assert H.poly_value(h, x) == want
-
-
-def test_partial_value():
-    h = H.HypergraphPoly(4)
-    h.add_edge((0, 1))
-    h.add_edge((1, 2), mult=2)
-    x = np.array([0, 0, 1, 0], dtype=np.int64)
-    # fixing {1} leaves edge (0,1) needing x0 = 0 and edge (1,2) live via x2
-    assert H.partial_value(h, (1,), x) == 2
-    # an edge equal to the fixed set contributes its full multiplicity
-    assert H.partial_value(h, (0, 1), x) == 1
-    assert H.partial_value(h, (1, 2), x) == 2
-    assert H.partial_value(h, (), x) == H.poly_value(h, x)
+        assert _kernels.poly_eval01_kernel(*h._arrays(), x) == poly_value(h, x)
 
 
 def brute_mu(h, p, size):
@@ -118,7 +109,7 @@ def test_row_weight_value_equals_poly_at_matching_scale():
     for _ in range(30):
         u = np.zeros(11, dtype=np.int64)
         u[rng.choice(11, size=2, replace=False)] = 1
-        assert H.row_weight_value(seq, 0, [1, 2], 1, u) == H.poly_value(h, u)
+        assert row_weight(seq, 0, [1, 2], 1, u) == poly_value(h, u)
 
 
 def test_row_weight_mean_closed_form_vs_enumeration():
@@ -129,16 +120,16 @@ def test_row_weight_mean_closed_form_vs_enumeration():
         seq = DifferenceSequence.sample(Group(n), m, rng)
         right = list(range(1, m))
         for s in (2, 3):
-            closed = H.row_weight_mean_closed_form(seq, 0, right, s, 1)
-            enum = H.row_weight_mean_enumerated(seq, 0, right, s, 1)
+            closed = row_weight_mean_closed_form(seq, 0, right, s, 1)
+            enum = row_weight_mean_enumerated(seq, 0, right, s, 1)
             assert closed == enum
 
 
 def test_sample_row_weight_distribution():
     seq = DifferenceSequence(Group(11), (1, 3))
-    want = H.row_weight_mean_closed_form(seq, 0, [1], 2, 1)
+    want = row_weight_mean_closed_form(seq, 0, [1], 2, 1)
     rng = stream(71, 4)
-    draws = [H.sample_row_weight(seq, 0, [1], 2, 1, rng) for _ in range(4000)]
+    draws = [sample_row_weight(seq, 0, [1], 2, 1, rng) for _ in range(4000)]
     assert abs(np.mean(draws) - float(want)) < 0.1
 
 
@@ -148,7 +139,7 @@ def brute_bernoulli(h, p):
         weight = Fraction(1)
         for v in range(h.n):
             weight *= p if bits[v] else 1 - p
-        total += weight * H.poly_value(h, np.array(bits, dtype=np.int64))
+        total += weight * poly_value(h, bits)
     return total
 
 
@@ -158,7 +149,7 @@ def brute_set_average(h, t):
     for a in combinations(range(h.n), t):
         x = np.zeros(h.n, dtype=np.int64)
         x[list(a)] = 1
-        total += H.poly_value(h, x)
+        total += poly_value(h, x)
         count += 1
     return total / count
 
@@ -197,7 +188,7 @@ def reference_tails(h, t, p, factors, trials, rng):
     for _ in range(trials):
         x = np.zeros(h.n, dtype=np.uint8)
         x[rng.choice(h.n, size=t, replace=False)] = 1
-        values.append(H.poly_value(h, x))
+        values.append(poly_value(h, x))
     mu = float(H.mu_profile(h, p).mu_max)
     scale = log(h.n) ** (max(h.max_edge_size(), 1) - 0.5)
     return tuple(sum(v >= c * scale * mu for v in values) / trials for c in factors)

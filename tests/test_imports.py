@@ -1,6 +1,6 @@
 """Every module-level import in the package and the tests is used, every
-name the package defines is referenced somewhere, importing the package
-loads none of its modules, and neither its counting layer nor the exact
+name and method the package defines is read by the program, importing the
+package loads none of its modules, and neither its counting layer nor the exact
 ``critical-size`` and ``check`` path loads numpy."""
 import ast
 import os
@@ -48,17 +48,27 @@ def test_no_unused_module_level_imports():
 
 
 def defined_names(source: str) -> dict[str, int]:
-    """Module-level defs, classes and assigned constants, dunders aside."""
+    """Module-level defs, classes and assigned constants, and as ``C.name`` the
+    methods and properties of module-level classes, dunders aside.
+
+    Dataclass and NamedTuple fields are annotations, not defs, and are left
+    out: ``_asdict`` and ``repr`` read them without naming them.
+    """
     names = {}
     for stmt in ast.parse(source).body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names[stmt.name] = stmt.lineno
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names[f"{stmt.name}.{item.name}"] = item.lineno
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
                 if isinstance(target, ast.Name):
                     names[target.id] = stmt.lineno
-    return {n: line for n, line in names.items() if not n.startswith("__")}
+    return {n: line for n, line in names.items()
+            if not n.rpartition(".")[2].startswith("__")}
 
 
 def referenced_names(source: str) -> set[str]:
@@ -85,40 +95,26 @@ def referenced_names(source: str) -> set[str]:
     return found
 
 
-# Package names that no program reads: references the tests compare the
-# package against, and steps of the argument that only a test checks.
-TEST_REFERENCES = {
-    "ap_count", "ap_average_all", "embedding_total_closed_form",
-    "verify_embedding_identity", "default_prune_threshold", "prune_distance",
-    "poly_value", "partial_value", "sample_row_weight",
-    "row_weight_mean_closed_form", "row_weight_mean_enumerated", "CONFIDENCE",
-    "iter_ledger",
-}
-
-
 def test_every_package_name_is_referenced():
-    """Every package name is read in ``src/`` or ``perfbench/`` or is one of
-    ``TEST_REFERENCES``; each of those is defined and read by neither."""
+    """Every package name, and every method and property of a package class,
+    is read in ``src/`` or ``perfbench/``: tests do not count as readers."""
     sample = ("X = 1\n_y: int = 2\n__all__ = ['C']\ndef f():\n    '''Doc.'''\n"
-              "class C:\n    Z = 3\nf('print(m.W)')\n")
-    assert defined_names(sample) == {"X": 1, "_y": 2, "f": 4, "C": 6}
+              "class C:\n    Z = 3\n    def g(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\nf('print(m.W)')\n")
+    assert defined_names(sample) == {"X": 1, "_y": 2, "f": 4, "C": 6, "C.g": 8}
     assert referenced_names(sample) == {"int", "C", "f", "print", "m", "W"}
     readers = [path for top in ("src", "perfbench")
                for path in sorted((ROOT / top).rglob("*.py"))]
     used = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
                          for path in readers))
-    defined = set()
     dead = {}
     for path in PACKAGE:
         names = defined_names(path.read_text(encoding="utf-8"))
-        defined.update(names)
         unused = [f"line {line}: {name}" for name, line in names.items()
-                  if name not in used | TEST_REFERENCES]
+                  if name.rpartition(".")[2] not in used]
         if unused:
             dead[path.name] = unused
     assert not dead, dead
-    assert TEST_REFERENCES <= defined, sorted(TEST_REFERENCES - defined)
-    assert not TEST_REFERENCES & used, sorted(TEST_REFERENCES & used)
 
 
 def test_import_aplab_loads_nothing():

@@ -433,8 +433,8 @@ def test_wilson_interval():
 
 
 def test_wilson_z_is_the_normal_quantile():
-    """The stored z is the quantile at CONFIDENCE bit for bit, so no interval moves."""
-    z = NormalDist().inv_cdf(0.5 + intersectivity.CONFIDENCE / 2)
+    """The stored z is the quantile at 95% confidence bit for bit, so no interval moves."""
+    z = NormalDist().inv_cdf(0.5 + 0.95 / 2)
     assert intersectivity.WILSON_Z == z
     assert intersectivity.WILSON_Z.hex() == z.hex()
 

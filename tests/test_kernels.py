@@ -6,7 +6,7 @@ import numpy as np
 
 from aplab import _kernels as K
 from aplab import norms
-from aplab.counting import DifferenceSequence, RationalCount, ap_average_all, ap_count
+from aplab.counting import DifferenceSequence, RationalCount, ap_average
 from aplab.groups import Group
 from aplab.intersectivity import minimal_forbidden_sets
 from aplab.rng import stream
@@ -53,7 +53,7 @@ def brute_01(base, coefs, masks, nvert):
     return best
 
 
-def brute_ap_count(member, d, k):
+def brute_progressions(member, d, k):
     n = len(member)
     return sum(all(member[(x + step * d) % n] for step in range(k)) for x in range(n))
 
@@ -61,14 +61,6 @@ def brute_ap_count(member, d, k):
 def to_mask(member):
     """The int bitmask of a 0/1 vector: bit v set when member[v] is 1."""
     return sum(1 << v for v in range(len(member)) if member[v])
-
-
-def brute_row_weight(u, d_i, good, r, n):
-    def window(x, d):
-        return sum(int(u[(x + step * d) % n]) for step in range(1, 2 * r + 1))
-
-    return sum(1 for d_j in good for x in range(n)
-               if window(x, d_i) == r and window(x, int(d_j)) == r)
 
 
 def plain_apfree_search(nvert, target, edge_ptr, edge_vtx, edge_size,
@@ -303,27 +295,30 @@ def test_enumeration_working_set_is_bounded():
     assert cube_peak < 1 << 20, cube_peak
 
 
-def test_ap_count_agrees_with_brute_force():
-    """``ap_count`` on the bitmask and the brute-force count on the 0/1 vector agree."""
+def test_single_difference_agrees_with_brute_force():
+    """``ap_average`` of one difference on the bitmask and the brute-force count
+    on the 0/1 vector agree."""
     rng = stream(31, 3)
     for _ in range(30):
         n = int(rng.integers(2, 20))
         member = (rng.random(n) < 0.5).astype(np.uint8)
         d = int(rng.integers(0, n))
         k = int(rng.integers(2, 6))
-        want = RationalCount(brute_ap_count(member, d, k), n)
-        assert ap_count(Group(n), to_mask(member), d, k) == want
+        want = RationalCount(brute_progressions(member, d, k), n)
+        assert ap_average(to_mask(member), DifferenceSequence(Group(n), (d,)), k) == want
 
 
 def test_all_diffs_kernel_paths_agree():
-    """``ap_average_all`` and the brute-force count over every difference agree."""
+    """``ap_average`` over the sequence 0..N-1 and the brute-force count over
+    every difference agree."""
     rng = stream(31, 4)
     for _ in range(20):
         n = int(rng.integers(2, 16))
         member = (rng.random(n) < 0.6).astype(np.uint8)
         k = int(rng.integers(2, 5))
-        want = sum(brute_ap_count(member, d, k) for d in range(n))
-        assert ap_average_all(Group(n), to_mask(member), k) == RationalCount(want, n * n)
+        want = sum(brute_progressions(member, d, k) for d in range(n))
+        every = DifferenceSequence(Group(n), tuple(range(n)))
+        assert ap_average(to_mask(member), every, k) == RationalCount(want, n * n)
 
 
 def test_poly_eval_kernel_paths_agree():
@@ -344,20 +339,6 @@ def test_poly_eval_kernel_paths_agree():
         assert K.poly_eval01_kernel(ptr, vtx, mult, x) == want[0]
         # a stack of rows gives one value per row
         assert K.poly_eval01_kernel(ptr, vtx, mult, rows).tolist() == want
-
-
-def test_row_weight_kernel_paths_agree():
-    """``row_weight_kernel`` and the brute-force path agree."""
-    rng = stream(31, 6)
-    for _ in range(20):
-        n = int(rng.integers(5, 14))
-        m = int(rng.integers(2, 5))
-        r = int(rng.integers(1, 3))
-        diffs = np.array(rng.integers(0, n, size=m), dtype=np.int64)
-        good = np.arange(1, m, dtype=np.int64)
-        u = (rng.random(n) < 0.3).astype(np.uint8)
-        want = brute_row_weight(u, int(diffs[0]), diffs[good], r, n)
-        assert K.row_weight_kernel(u, int(diffs[0]), diffs[good], r, n) == want
 
 
 def test_csr_incidence_matches_lists():
