@@ -9,6 +9,6 @@ matrix embedding with pruning, operator norm comparisons, a random
 sign-sum spectral bound, and hypergraph moment profiles.
 
 The modules are the API: import each name from its home module, as in
-``from aplab.groups import Group``.  Importing the package loads none
+``from aplab.counting import DifferenceSequence``.  Importing the package loads none
 of them.
 """

@@ -36,8 +36,8 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .counting import DifferenceSequence
-from .groups import (MAX_PROGRESSION_LENGTH, ApParams, Group, as_density,
-                     default_block_size, density_target)
+from .groups import (MAX_PROGRESSION_LENGTH, ApParams, as_density, default_block_size,
+                     density_target)
 from .records import VERSION, append_ledger, dumps_record
 from .rng import spawn_signs, stream
 
@@ -75,13 +75,30 @@ def _difference_list(text: str) -> tuple[int, ...]:
     return diffs
 
 
+def _peak_rss_kib() -> int:
+    """This process's peak resident set in KiB.
+
+    On Linux ``ru_maxrss`` also counts the image forked from the parent
+    before exec, so ``VmHWM``, the high-water mark of this image alone, is
+    read where ``/proc`` exists.
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _finish(payload: dict, out: str, started: float) -> int:
     """Ledger ``payload`` with its run cost, then print it; return the exit code."""
-    import resource
     ledger_rec = dict(payload)
     ledger_rec["wall_time_s"] = time.monotonic() - started
-    # ru_maxrss is in KiB on Linux; MB here means MiB, as perfbench reports it
-    ledger_rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # KiB on Linux; MB here means MiB, as perfbench reports it
+    ledger_rec["peak_rss_mb"] = _peak_rss_kib() / 1024.0
     append_ledger(out, ledger_rec)
     sys.stdout.write(dumps_record(payload) + "\n")
     return 0 if all(a["pass"] for a in payload["assertions"]) else 1
@@ -93,7 +110,6 @@ def _finish(payload: dict, out: str, started: float) -> int:
 
 def cmd_critical_size(args) -> dict:
     from . import intersectivity
-    group = Group(args.modulus)
     params = ApParams(args.k, args.epsilon)
     payload = _payload("critical-size", {
         "modulus": args.modulus, "k": args.k,
@@ -101,7 +117,7 @@ def cmd_critical_size(args) -> dict:
         "exact_limit": intersectivity.EXACT_LIMIT,
     }, args.seed)
     est = intersectivity.estimate_critical_size(
-        group, params, trials_per_m=args.trials, seed=args.seed)
+        args.modulus, params, trials_per_m=args.trials, seed=args.seed)
     payload["results"] = {"m_star": est.m_star,
                           "curve": [p._asdict() for p in est.curve]}
     return payload
@@ -109,9 +125,8 @@ def cmd_critical_size(args) -> dict:
 
 def cmd_check(args) -> dict:
     from . import intersectivity
-    group = Group(args.modulus)
     params = ApParams(args.k, args.epsilon)
-    seq = DifferenceSequence(group, args.differences)
+    seq = DifferenceSequence(args.modulus, args.differences)
     payload = _payload("check", {
         "modulus": args.modulus, "k": args.k,
         "epsilon": params.epsilon,
@@ -122,7 +137,7 @@ def cmd_check(args) -> dict:
     payload["results"] = {
         "intersective": verdict.intersective,
         "method": verdict.method,
-        "target_size": density_target(group, params),
+        "target_size": density_target(args.modulus, params),
         "witness": None if w is None else [v for v in range(args.modulus) if w >> v & 1],
     }
     return payload
@@ -132,12 +147,11 @@ def _verify_embedding_identity(payload, seed, inject_fault: bool):
     import numpy as np
 
     from . import discrepancy, embedding
-    group = Group(11)
     s, r = 2, 1
     rng = stream(seed, 10)
     checked = 0
     for rep in range(3):
-        seq = DifferenceSequence.sample(group, 4, rng)
+        seq = DifferenceSequence.sample(11, 4, rng)
         for i in range(4):
             for j in range(4):
                 if i == j or not discrepancy.is_good_pair(seq, i, j, r):
@@ -147,7 +161,7 @@ def _verify_embedding_identity(payload, seed, inject_fault: bool):
                     key = min(mat.entries)
                     mat.entries[key] += 1
                 for _ in range(3):
-                    z = spawn_signs(rng, group.modulus).astype(np.int64)
+                    z = spawn_signs(rng, 11).astype(np.int64)
                     quad, rhs = embedding.identity_sides(seq, i, j, mat, z)
                     checked += 1
                     if quad != rhs:
@@ -166,8 +180,7 @@ def _verify_cauchy_schwarz(payload, seed):
         n = int(rng.integers(5, 13))
         k = int(rng.choice([3, 5]))
         m = int(rng.integers(1, 5))
-        group = Group(n)
-        seq = DifferenceSequence.sample(group, m, rng)
+        seq = DifferenceSequence.sample(n, m, rng)
         sigma = spawn_signs(rng, m)
         z = spawn_signs(rng, n)
         if not discrepancy.verify_cauchy_schwarz_step(seq, sigma, z, k):
@@ -184,8 +197,7 @@ def _verify_dominance(payload, seed):
     for rep in range(20):
         n = int(rng.integers(5, 11))
         m = int(rng.integers(1, 4))
-        group = Group(n)
-        seq = DifferenceSequence.sample(group, m, rng)
+        seq = DifferenceSequence.sample(n, m, rng)
         sigma = spawn_signs(rng, m)
         if not discrepancy.multilinear_dominance(seq, sigma, 3):
             _assert_into(payload, "multilinear-dominance", False,
@@ -216,16 +228,17 @@ def _verify_norm_chain(payload, seed):
 
 def _verify_chain(payload, seed):
     from . import discrepancy, embedding
-    group = Group(7)
     params = ApParams(3)
     rng = stream(seed, 15)
     found = None
     for _ in range(50):
         try:
-            cand = discrepancy.good_set_search(group, params, 4, rng)
+            cand = discrepancy.good_set_search(7, params, 4, rng)
         except discrepancy.GoodSetSearchError as err:
+            best = err.best
             _assert_into(payload, "lower-bound-chain", False,
-                         f"no well-spread sequence: best={err.best}")
+                         f"no well-spread sequence: best D={list(best.seq.entries)} "
+                         f"collisions={best.collisions} multiplicity={best.multiplicity}")
             return
         found = cand
         pairs = [(i, j) for i in cand.partition.left for j in cand.partition.right]
@@ -236,7 +249,7 @@ def _verify_chain(payload, seed):
     for _ in range(10):  # redraw signs if the aggregate matrix cancels
         sigma = spawn_signs(rng, len(part.left))
         tau = spawn_signs(rng, len(part.right))
-        z = spawn_signs(rng, group.modulus)
+        z = spawn_signs(rng, 7)
         report = embedding.verify_lower_bound_chain(seq, part, sigma, tau, 2, 1, z)
         if not report.ok or report.norm_lower > 0:
             break
@@ -248,7 +261,7 @@ def _verify_chain(payload, seed):
 def _verify_symmetrization(payload):
     from . import discrepancy
     for n, m in ((5, 1), (5, 2)):
-        lhs, rhs = discrepancy.symmetrization_sides(Group(n), m, 3)
+        lhs, rhs = discrepancy.symmetrization_sides(n, m, 3)
         if lhs > rhs:
             _assert_into(payload, "symmetrization", False,
                          f"N={n} m={m}: lhs={lhs} > rhs={rhs}")
@@ -310,7 +323,6 @@ def _kimvu_sizes(args) -> tuple[int, int, int]:
 def cmd_kimvu(args) -> dict:
     from . import hyperpoly
     n = args.modulus
-    group = Group(n)
     r, s, t = _kimvu_sizes(args)
     p = Fraction(s, n)
     payload = _payload("kimvu", {
@@ -318,7 +330,7 @@ def cmd_kimvu(args) -> dict:
         "prob": p, "trials": args.trials,
     }, args.seed)
     rng = stream(args.seed, 20)
-    seq = DifferenceSequence.sample(group, args.m, rng)
+    seq = DifferenceSequence.sample(n, args.m, rng)
     right = [j for j in range(args.m) if j != 0]
     h = hyperpoly.build_pair_weight_hypergraph(seq, 0, right, r)
     profile = hyperpoly.mu_profile(h, p) if h.edge_count() else None
@@ -349,9 +361,8 @@ def cmd_norms(args) -> dict:
     from . import embedding, norms
     params = {"demo": args.demo}
     if args.demo == "window":  # the 55 x 55 aggregated subset-pair matrix
-        group = Group(11)
         rng = stream(args.seed, 24)
-        seq = DifferenceSequence.sample(group, 4, rng)
+        seq = DifferenceSequence.sample(11, 4, rng)
         tau = spawn_signs(rng, 3)
         mat = embedding.aggregate_pair_embeddings(seq, 0, tau, (1, 2, 3), 2, 1).to_dense()
     else:

@@ -7,11 +7,7 @@ sequence 0..N-1 (denominator N^2), can be compared without rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
-
-from .groups import Group
 
 
 class RationalCount(NamedTuple):
@@ -20,33 +16,29 @@ class RationalCount(NamedTuple):
     numerator: int
     denominator: int
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
-
-@dataclass(frozen=True)
 class DifferenceSequence:
-    """An ordered tuple of differences d_1..d_m, repeats allowed."""
+    """An ordered tuple of differences d_1..d_m in Z/n, repeats allowed."""
 
-    group: Group
-    entries: tuple[int, ...]
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(d) for d in self.entries))
+    def __init__(self, n: int, entries):
+        if n < 1:
+            raise ValueError("modulus must be a positive integer")
+        self.n = n
+        self.entries = tuple(int(d) for d in entries)
         if not self.entries:
             raise ValueError("difference sequence must be nonempty")
         for d in self.entries:
-            if not 0 <= d < self.group.modulus:
-                raise ValueError(f"difference {d} outside 0..{self.group.modulus - 1}")
+            if not 0 <= d < n:
+                raise ValueError(f"difference {d} outside 0..{n - 1}")
 
     @classmethod
-    def sample(cls, group: Group, m: int, rng) -> "DifferenceSequence":
-        """m independent uniform draws from the group, order preserved."""
+    def sample(cls, n: int, m: int, rng) -> "DifferenceSequence":
+        """m independent uniform draws from Z/n, order preserved."""
         if m < 1:
             raise ValueError("sequence length must be at least 1")
-        draws = rng.integers(0, group.modulus, size=m)
-        return cls(group, tuple(int(d) for d in draws))
+        return cls(n, rng.integers(0, n, size=m))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,7 +66,7 @@ def _starts(mask: int, n: int, d: int, k: int) -> int:
 
 def ap_average(mask: int, seq: DifferenceSequence, k: int) -> RationalCount:
     """Progression density averaged over the sequence, exact over m*N."""
-    n = seq.group.modulus
+    n = seq.n
     total = 0
     cache: dict[int, int] = {}
     for d in seq.entries:

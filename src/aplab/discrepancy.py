@@ -10,31 +10,28 @@ between the functionals are checked without floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernels
 from .counting import DifferenceSequence
-from .groups import ApParams, Group, as_density, single_support
+from .groups import ApParams, as_density, single_support
 
 GOOD_SET_ATTEMPTS = 200
 COLLISION_SLACK = 4.0  # of every collision threshold; read at call time
 
 
-@dataclass(frozen=True)
 class IndexPartition:
     """A two-part split of sequence indices 0..m-1."""
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(sorted(int(i) for i in self.left)))
-        object.__setattr__(self, "right", tuple(sorted(int(i) for i in self.right)))
+    def __init__(self, left, right):
+        self.left = tuple(sorted(int(i) for i in left))
+        self.right = tuple(sorted(int(i) for i in right))
         m = len(self.left) + len(self.right)
         if set(self.left) | set(self.right) != set(range(m)) or \
                 set(self.left) & set(self.right):
@@ -61,7 +58,7 @@ def _as_signs(vec, length: int) -> np.ndarray:
 
 def _window_products(seq: DifferenceSequence, zz: np.ndarray, k: int) -> np.ndarray:
     """H[i, x] = prod_{l=1}^{k-1} Z(x + l*d_i), shape (m, N)."""
-    n = seq.group.modulus
+    n = seq.n
     diffs = np.asarray(seq.entries, dtype=np.int64)
     idx = (np.arange(n)[None, :, None]
            + diffs[:, None, None] * np.arange(1, k)[None, None, :]) % n
@@ -76,7 +73,7 @@ def verify_cauchy_schwarz_step(seq: DifferenceSequence, sigma, Z, k: int) -> boo
     products, which is the square-and-split step applied pointwise.
     Both sides are exact integers.
     """
-    n = seq.group.modulus
+    n = seq.n
     sig = _as_signs(sigma, len(seq))
     zz = _as_signs(Z, n)
     g = sig @ _window_products(seq, zz, k)
@@ -94,7 +91,7 @@ def _terms(seq: DifferenceSequence, sigma, k: int):
 
     Zero coefficients are discarded, and the empty support is the base.
     """
-    n = seq.group.modulus
+    n = seq.n
     sig = _as_signs(sigma, len(seq))
     terms: dict[tuple[int, ...], int] = {}
     for i, d in enumerate(seq.entries):
@@ -140,7 +137,7 @@ def multilinear_dominance(seq: DifferenceSequence, sigma, k: int) -> bool:
     reducing by z^2 = 1 and by a^2 = a gives different polynomials, and
     dominance between two different polynomials need not hold.
     """
-    n = seq.group.modulus
+    n = seq.n
     terms, base = _terms(seq, sigma, k)
     return _enumerate(terms, base, n, signed=True) >= _enumerate(terms, base, n, signed=False)
 
@@ -154,7 +151,7 @@ def _progression_counts(n: int, k: int) -> np.ndarray:
                      for d in range(n)])
 
 
-def symmetrization_sides(group: Group, m: int, k: int) -> tuple[Fraction, Fraction]:
+def symmetrization_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the symmetrization inequality, exactly.
 
     Left: expectation over all sequences D in G^m of the max over subsets
@@ -170,7 +167,6 @@ def symmetrization_sides(group: Group, m: int, k: int) -> tuple[Fraction, Fracti
     their total is doubled.  The guard bounds the entries formed, m in
     the sign table and n^m * 2^n signed sums per sign vector, at 2^25.
     """
-    n = group.modulus
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
     if n > 12 or (m + (n ** m << n)) << (m - 1) > 1 << 25:
@@ -204,8 +200,8 @@ def is_good_pair(seq: DifferenceSequence, i: int, j: int, r: int) -> bool:
     That is, the two forward windows {l*d : l in 1..2r} are disjoint and
     neither folds onto itself; only such pairs get a nonzero embedding.
     """
-    pts = set(single_support(seq.group, 0, seq.entries[i], r))
-    pts.update(single_support(seq.group, 0, seq.entries[j], r))
+    pts = set(single_support(seq.n, 0, seq.entries[i], r))
+    pts.update(single_support(seq.n, 0, seq.entries[j], r))
     return len(pts) == 4 * r
 
 
@@ -227,7 +223,7 @@ def max_multiplicity(seq: DifferenceSequence, r: int) -> int:
     entries and steps l in -2r..2r; the maximum over x gauges how far the
     sequence is from spreading its windows evenly.
     """
-    n = seq.group.modulus
+    n = seq.n
     if n == 1:
         return 0
     counts = np.zeros(n, dtype=np.int64)
@@ -250,8 +246,7 @@ def multiplicity_threshold(n: int) -> float:
     return 4.0 * log(n)
 
 
-@dataclass(frozen=True)
-class GoodSetResult:
+class GoodSetResult(NamedTuple):
     seq: DifferenceSequence
     partition: IndexPartition
     collisions: int
@@ -268,7 +263,7 @@ class GoodSetSearchError(RuntimeError):
         self.best = best
 
 
-def good_set_search(group: Group, params: ApParams, m: int, rng) -> GoodSetResult:
+def good_set_search(n: int, params: ApParams, m: int, rng) -> GoodSetResult:
     """Sample sequences until one has few collisions and low multiplicity.
 
     Each of up to ``GOOD_SET_ATTEMPTS`` attempts draws a fresh sequence
@@ -276,12 +271,11 @@ def good_set_search(group: Group, params: ApParams, m: int, rng) -> GoodSetResul
     best attempt seen (fewest collisions, then lowest multiplicity).
     """
     r = params.r
-    n = group.modulus
     c_bound = collision_threshold(n, m, r)
     m_bound = multiplicity_threshold(n)
     best: Optional[GoodSetResult] = None
     for _ in range(GOOD_SET_ATTEMPTS):
-        seq = DifferenceSequence.sample(group, m, rng)
+        seq = DifferenceSequence.sample(n, m, rng)
         part = IndexPartition.random_balanced(m, rng)
         coll = collision_count(seq, part, r)
         mult = max_multiplicity(seq, r)

@@ -11,10 +11,9 @@ aggregate of them satisfies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -95,10 +94,6 @@ class EmbeddingMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def total(self) -> int:
-        """Sum of all entries; equals the all-ones quadratic form."""
-        return sum(self.entries.values())
-
     def quadratic_form(self, vec) -> int:
         """Exact v^T M v for an integer vector over the subset index."""
         arr = np.ascontiguousarray(vec, dtype=np.int64)
@@ -144,8 +139,7 @@ def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int,
     forced as the symmetric difference with the union window.  Pairs with
     colliding windows give the zero matrix.
     """
-    group = seq.group
-    n = group.modulus
+    n = seq.n
     if s < 2 * r:
         raise ValueError("block size s must be at least 2r")
     if comb(n, s) > DIMENSION_CAP:
@@ -157,8 +151,8 @@ def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int,
     indexer = SubsetIndexer(n, s)
     entries: dict[tuple[int, int], int] = {}
     for x in range(n):
-        win_i = single_support(group, x, d_i, r)
-        win_j = single_support(group, x, d_j, r)
+        win_i = single_support(n, x, d_i, r)
+        win_j = single_support(n, x, d_j, r)
         union = set(win_i) | set(win_j)
         free = [y for y in range(n) if y not in union]
         for pick_i in combinations(win_i, r):
@@ -187,7 +181,7 @@ def pair_window_sum(seq: DifferenceSequence, i: int, j: int, r: int, Z) -> int:
     """
     if not is_good_pair(seq, i, j, r):
         raise ValueError(f"the windows of pair ({i}, {j}) collide")
-    H = _window_products(seq, _as_signs(Z, seq.group.modulus), 2 * r + 1)
+    H = _window_products(seq, _as_signs(Z, seq.n), 2 * r + 1)
     return int(H[i] @ H[j])
 
 
@@ -213,15 +207,13 @@ def aggregate_pair_embeddings(seq: DifferenceSequence, i: int, tau, right, s: in
     """
     right = tuple(right)
     ta = _as_signs(tau, len(right))
-    n = seq.group.modulus
-    acc = EmbeddingMatrix(n, s, r, {})
+    acc = EmbeddingMatrix(seq.n, s, r, {})
     pieces = [(int(ta[pos]), pair_embedding(seq, i, j, s, r))
               for pos, j in enumerate(right)]
     return acc.scale_add(pieces)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Outcome of the end-to-end lower-bound verification."""
 
     identity_ok: bool
@@ -251,7 +243,7 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     """
     sig = _as_signs(sigma, len(part.left))
     ta = _as_signs(tau, len(part.right))
-    n = seq.group.modulus
+    n = seq.n
     mat = EmbeddingMatrix(n, s, r, {}).scale_add(
         [(int(sig[pos]), aggregate_pair_embeddings(seq, i, ta, part.right, s, r))
          for pos, i in enumerate(part.left)])

@@ -1,7 +1,6 @@
 """Modular arithmetic over Z/N, step-window supports and the block size."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -25,18 +24,6 @@ def as_density(value) -> Fraction:
     return Fraction(str(value))
 
 
-@dataclass(frozen=True)
-class Group:
-    """The cyclic group Z/N with canonical residues 0..N-1."""
-
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("group modulus must be a positive integer")
-
-
-@dataclass(frozen=True)
 class ApParams:
     """Progression length and density threshold for one experiment.
 
@@ -46,12 +33,12 @@ class ApParams:
     enforced where the half-length ``r`` is consumed.
     """
 
-    k: int
-    epsilon: Fraction = Fraction(1, 2)
+    __slots__ = ("k", "epsilon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_density(self.epsilon))
-        if not 2 <= self.k <= MAX_PROGRESSION_LENGTH:
+    def __init__(self, k: int, epsilon=Fraction(1, 2)):
+        self.k = k
+        self.epsilon = as_density(epsilon)
+        if not 2 <= k <= MAX_PROGRESSION_LENGTH:
             raise ValueError(f"k must lie in [2, {MAX_PROGRESSION_LENGTH}]")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
@@ -64,9 +51,9 @@ class ApParams:
         return (self.k - 1) // 2
 
 
-def density_target(group: Group, params: ApParams) -> int:
+def density_target(n: int, params: ApParams) -> int:
     """Smallest admissible set size, ceil(epsilon * N), computed exactly."""
-    return ceil(params.epsilon * group.modulus)
+    return ceil(params.epsilon * n)
 
 
 def default_block_size(n: int, k: int) -> int:
@@ -82,9 +69,8 @@ def default_block_size(n: int, k: int) -> int:
     return max(s, 1)
 
 
-def single_support(group: Group, x: int, d: int, r: int) -> list[int]:
+def single_support(n: int, x: int, d: int, r: int) -> list[int]:
     """The forward window x + d, x + 2d, ..., x + 2r*d mod N, in step order."""
     if r < 1:
         raise ValueError("window half-length r must be at least 1")
-    n = group.modulus
     return [(x + step * d) % n for step in range(1, 2 * r + 1)]

@@ -10,11 +10,10 @@ empirical tail probe.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, log
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class HypergraphPoly:
             raise ValueError("edge vertex outside 0..n-1")
         self._edges[edge] = self._edges.get(edge, 0) + mult
 
-    def edges(self) -> list[tuple[tuple[int, ...], int]]:
-        """Distinct edges with multiplicities, sorted."""
-        return sorted(self._edges.items())
-
     def edge_count(self) -> int:
         """Total number of edges counted with multiplicity."""
         return sum(self._edges.values())
@@ -69,8 +64,7 @@ class HypergraphPoly:
                 f"max_size={self.max_edge_size()})")
 
 
-@dataclass(frozen=True)
-class MuProfile:
+class MuProfile(NamedTuple):
     p: Fraction
     mu: tuple[Fraction, ...]  # index i holds the worst E f_A over |A| = i
 
@@ -123,15 +117,14 @@ def build_pair_weight_hypergraph(seq: DifferenceSequence, i: int, right,
     a 2r-vertex edge; repeats across (j, x, picks) accumulate as
     multiplicity.
     """
-    group = seq.group
-    n = group.modulus
+    n = seq.n
     h = HypergraphPoly(n)
     for j in right:
         if not is_good_pair(seq, i, j, r):
             continue
         for x in range(n):
-            win_i = single_support(group, x, seq.entries[i], r)
-            win_j = single_support(group, x, seq.entries[j], r)
+            win_i = single_support(n, x, seq.entries[i], r)
+            win_j = single_support(n, x, seq.entries[j], r)
             for pick_i in combinations(win_i, r):
                 for pick_j in combinations(win_j, r):
                     h.add_edge(pick_i + pick_j)
@@ -164,8 +157,7 @@ def set_average_exact(h: HypergraphPoly, t: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class SetVsBernoulliReport:
+class SetVsBernoulliReport(NamedTuple):
     set_mean: Fraction
     bernoulli_mean: Fraction
     holds: bool  # set_mean <= 2 * bernoulli_mean, checked exactly

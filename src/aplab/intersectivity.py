@@ -11,12 +11,11 @@ all of them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple, Optional
 
 from .counting import DifferenceSequence, ap_average
-from .groups import ApParams, Group, density_target
+from .groups import ApParams, density_target
 from .rng import stream
 
 EXACT_LIMIT = 40  # largest N decided exactly; read at call time
@@ -28,8 +27,7 @@ _STABILIZE_ROUNDS = 12
 WILSON_Z = 1.9599639845400536
 
 
-@dataclass(frozen=True)
-class IntersectivityVerdict:
+class IntersectivityVerdict(NamedTuple):
     intersective: bool
     witness: Optional[int]  # free set of at least the target size as a bitmask, when found
     method: str  # "exact" or "heuristic"
@@ -37,7 +35,7 @@ class IntersectivityVerdict:
 
 def _base_supports(seq: DifferenceSequence, k: int) -> set[frozenset[int]]:
     """The distinct supports {0, d, ..., (k-1)d} of the differences in seq."""
-    n = seq.group.modulus
+    n = seq.n
     return {frozenset(step * d % n for step in range(k)) for d in seq.distinct()}
 
 
@@ -62,7 +60,7 @@ def minimal_forbidden_sets(seq: DifferenceSequence, k: int) -> list[tuple[int, .
     ranges.  One set per size drops the translates that coincide, as they
     do when D holds N/2 or N/3, or both d and N - d.
     """
-    n = seq.group.modulus
+    n = seq.n
     bases = _base_supports(seq, k)
     kept = [b for b in bases
             if not any(len(c) < len(b) and all((y + z) % n in b for z in c)
@@ -94,7 +92,7 @@ def odd_cycle_certified(seq: DifferenceSequence, k: int, target: int) -> bool:
     the end points of the walks of length t from 0.  False only means
     that this bound proves nothing.
     """
-    n = seq.group.modulus
+    n = seq.n
     if target < 1:
         return False
     bases = _base_supports(seq, k)
@@ -142,7 +140,7 @@ def exact_free_set(seq: DifferenceSequence, k: int, target: int) -> Optional[int
       join, and a node whose bound falls below the number still needed is
       pruned.
     """
-    n = seq.group.modulus
+    n = seq.n
     if target <= 0:
         return 0
     if target > n or odd_cycle_certified(seq, k, target):
@@ -188,7 +186,7 @@ def _heuristic_free_set(seq: DifferenceSequence, k: int, target: int,
     import numpy as np
 
     from . import _kernels
-    n = seq.group.modulus
+    n = seq.n
     edges = minimal_forbidden_sets(seq, k)
     edge_ptr, edge_vtx, v_ptr, v_edges = _kernels.csr_incidence(edges, n)
     sizes = np.diff(edge_ptr)
@@ -211,9 +209,8 @@ def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerd
     but never understate it.  A witness is checked progression-free
     before it is returned.
     """
-    group = seq.group
-    target = density_target(group, params)
-    if group.modulus <= EXACT_LIMIT:
+    target = density_target(seq.n, params)
+    if seq.n <= EXACT_LIMIT:
         method = "exact"
         witness = exact_free_set(seq, params.k, target)
     elif odd_cycle_certified(seq, params.k, target):
@@ -229,11 +226,11 @@ def decide(seq: DifferenceSequence, params: ApParams, rng) -> IntersectivityVerd
     return IntersectivityVerdict(False, witness, method)
 
 
-def trial(group: Group, params: ApParams, m: int, rng) -> bool:
+def trial(n: int, params: ApParams, m: int, rng) -> bool:
     """Sample D of length m from the given generator and decide intersectivity."""
     if m < 1:
         raise ValueError("sequence length m must be at least 1")
-    return decide(DifferenceSequence.sample(group, m, rng), params, rng).intersective
+    return decide(DifferenceSequence.sample(n, m, rng), params, rng).intersective
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -274,13 +271,12 @@ class ProbePoint(NamedTuple):
     ci_high: float
 
 
-@dataclass(frozen=True)
-class CriticalSizeEstimate:
+class CriticalSizeEstimate(NamedTuple):
     m_star: int
     curve: tuple[ProbePoint, ...]  # aggregated per probed m, ascending
 
 
-def run_trials(group: Group, params: ApParams, m: int, count: int, seed: int, *,
+def run_trials(n: int, params: ApParams, m: int, count: int, seed: int, *,
                offset: int = 0) -> int:
     """Number of intersective samples among trials offset..offset+count-1.
 
@@ -289,11 +285,11 @@ def run_trials(group: Group, params: ApParams, m: int, count: int, seed: int, *,
     """
     if count < 1:
         raise ValueError("trial count must be at least 1")
-    return sum(trial(group, params, m, stream(seed, m, t))
+    return sum(trial(n, params, m, stream(seed, m, t))
                for t in range(offset, offset + count))
 
 
-def estimate_critical_size(group: Group, params: ApParams, *,
+def estimate_critical_size(n: int, params: ApParams, *,
                            trials_per_m: int = 200, seed: int = 0) -> CriticalSizeEstimate:
     """Estimate the smallest m whose intersectivity probability reaches 1/2.
 
@@ -307,13 +303,13 @@ def estimate_critical_size(group: Group, params: ApParams, *,
     """
     if trials_per_m < 1:
         raise ValueError("trials_per_m must be at least 1")
-    cap = max(64, 8 * group.modulus)
+    cap = max(64, 8 * n)
     curve: dict[int, list[int]] = {}
 
     def probe(m: int, count: int) -> float:
         """Run the next ``count`` trials at m; the aggregated rate at m."""
         entry = curve.setdefault(m, [0, 0])
-        entry[1] += run_trials(group, params, m, count, seed, offset=entry[0])
+        entry[1] += run_trials(n, params, m, count, seed, offset=entry[0])
         entry[0] += count
         return entry[1] / entry[0]
 

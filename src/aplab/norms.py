@@ -10,9 +10,8 @@ and the inf->1 norm never exceeds the total l1 mass of the entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log, sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -108,8 +107,7 @@ def one_to_one_norm(mat) -> float:
     return float(np.abs(_square(mat)).sum(axis=0).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(NamedTuple):
     dim: int
     spectral: float
     one_to_one: float
@@ -136,8 +134,7 @@ def norm_report(mat, rng) -> NormReport:
     return NormReport(dim, spec, one_to_one_norm(arr), lower, upper, exact)
 
 
-@dataclass(frozen=True)
-class KhintchineReport:
+class KhintchineReport(NamedTuple):
     dim: int
     count: int
     trials: int

@@ -14,14 +14,14 @@ from aplab.embedding import EmbeddingMatrix, embedding_scale
 
 def poly_value(h, x) -> int:
     """f(x) for a 0/1 vector: the multiplicities of the edges inside x."""
-    return sum(mult for e, mult in h.edges() if all(x[v] for v in e))
+    return sum(mult for e, mult in h._edges.items() if all(x[v] for v in e))
 
 
 def row_weight(seq, i, right, r, u) -> int:
     """Over good j in ``right`` and starts x, count the step windows
     x + l*d_i and x + l*d_j (l in 1..2r) that both meet the 0/1 vector u
     in exactly r points."""
-    n = seq.group.modulus
+    n = seq.n
 
     def meets(x, d):
         return sum(int(u[(x + step * d) % n]) for step in range(1, 2 * r + 1)) == r
@@ -33,8 +33,8 @@ def row_weight(seq, i, right, r, u) -> int:
 
 def sample_row_weight(seq, i, right, s, r, rng) -> int:
     """The row-weight statistic at a uniform s-subset of the group."""
-    u = np.zeros(seq.group.modulus, dtype=np.uint8)
-    u[rng.choice(seq.group.modulus, size=s, replace=False)] = 1
+    u = np.zeros(seq.n, dtype=np.uint8)
+    u[rng.choice(seq.n, size=s, replace=False)] = 1
     return row_weight(seq, i, right, r, u)
 
 
@@ -45,7 +45,7 @@ def row_weight_mean_closed_form(seq, i, right, s, r) -> Fraction:
     in exactly r points is hypergeometric, giving
     comb(2r,r)^2 comb(N-4r, s-2r) N good_count / comb(N, s).
     """
-    n = seq.group.modulus
+    n = seq.n
     good_count = sum(1 for j in right if is_good_pair(seq, i, j, r))
     if s < 2 * r or n - 4 * r < s - 2 * r:
         return Fraction(0)
@@ -54,7 +54,7 @@ def row_weight_mean_closed_form(seq, i, right, s, r) -> Fraction:
 
 def row_weight_mean_enumerated(seq, i, right, s, r) -> Fraction:
     """Mean of the row-weight statistic over all comb(N, s) subsets."""
-    n = seq.group.modulus
+    n = seq.n
     subsets = list(combinations(range(n), s))
     total = sum(row_weight(seq, i, right, r, [v in sub for v in range(n)])
                 for sub in subsets)

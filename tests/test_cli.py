@@ -12,6 +12,7 @@ import pytest
 
 from aplab import _kernels, cli, discrepancy, embedding, intersectivity, norms
 from aplab.cli import _verify_dominance, main
+from aplab.counting import DifferenceSequence
 from aplab.rng import stream
 
 
@@ -139,6 +140,27 @@ def test_verify_inject_fault_fails(capsys, tmp_path):
     assert len(broken) == 1
     assert broken[0]["name"] == "embedding-identity"
     assert "replay" in broken[0]["detail"]  # enough detail to reproduce
+
+
+def test_chain_failure_names_the_best_attempt(capsys, tmp_path, monkeypatch):
+    """When no sampled sequence is well spread, the chain's detail gives the
+    best attempt's D, collision count and multiplicity, with no object repr."""
+    monkeypatch.setattr(discrepancy, "COLLISION_SLACK", -1.0)  # no count is low enough
+    monkeypatch.setattr(discrepancy, "GOOD_SET_ATTEMPTS", 3)
+    rng = stream(3, 15)  # the chain's stream: the attempts' draws, replayed
+    attempts = []
+    for _ in range(3):
+        seq = DifferenceSequence.sample(7, 4, rng)
+        part = discrepancy.IndexPartition.random_balanced(4, rng)
+        attempts.append((discrepancy.collision_count(seq, part, 1),
+                         discrepancy.max_multiplicity(seq, 1), list(seq.entries)))
+    coll, mult, entries = min(attempts, key=lambda a: a[:2])
+    code, out = run_cli(capsys, tmp_path, "verify", "--seed", "3")
+    assert code == 1
+    chain = json.loads(out)["assertions"][4]
+    assert chain == {"name": "lower-bound-chain", "pass": False,
+                     "detail": f"no well-spread sequence: best D={entries} "
+                               f"collisions={coll} multiplicity={mult}"}
 
 
 def test_khintchine_ratio_below_one(capsys, tmp_path):
@@ -362,6 +384,22 @@ def fresh_interpreter(args, **env) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(base, PYTHONPATH=str(src), **env), check=True)
+
+
+def test_ledger_peak_rss_leaves_out_the_launcher(tmp_path):
+    """The ledger's ``peak_rss_mb`` is the command's own high-water mark: a
+    launcher holding 64 MiB does not lift it (Linux ``ru_maxrss`` keeps the
+    image forked from the parent across exec)."""
+    ledger = tmp_path / "runs.ledger"
+    argv = ["critical-size", "--modulus", "31", "--k", "2", "--epsilon", "0.45",
+            "--trials", "8", "--out", str(ledger)]
+    script = ("import subprocess, sys\n"
+              "held = b'x' * (64 << 20)\n"
+              f"subprocess.run([sys.executable, '-m', 'aplab.cli', *{argv!r}], check=True,\n"
+              "               stdout=subprocess.DEVNULL)\n")
+    fresh_interpreter(["-c", script])
+    peak = json.loads(ledger.read_text(encoding="ascii"))["peak_rss_mb"]
+    assert 0 < peak < 64
 
 
 def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:

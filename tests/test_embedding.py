@@ -10,7 +10,7 @@ from aplab import embedding as E
 from aplab import norms
 from aplab.counting import DifferenceSequence
 from aplab.discrepancy import IndexPartition, is_good_pair
-from aplab.groups import Group, default_block_size
+from aplab.groups import default_block_size
 from aplab.rng import spawn_signs, stream
 
 
@@ -46,7 +46,7 @@ def test_lift_signs_products():
 
 def _union_window_sum(seq, i, j, r, z):
     """Reference: sum_x of the product of z over the set union of both windows."""
-    n = seq.group.modulus
+    n = seq.n
     total = 0
     for x in range(n):
         union = {(x + step * d) % n for d in (seq.entries[i], seq.entries[j])
@@ -61,7 +61,7 @@ def test_pair_window_sum_matches_union_window_loop():
     while checked < 1000:
         n = int(rng.integers(5, 30))
         r = int(rng.integers(1, 3))
-        seq = DifferenceSequence.sample(Group(n), 3, rng)
+        seq = DifferenceSequence.sample(n, 3, rng)
         i, j = (int(v) for v in rng.choice(3, size=2, replace=False))
         if not is_good_pair(seq, i, j, r):
             continue
@@ -71,33 +71,32 @@ def test_pair_window_sum_matches_union_window_loop():
 
 
 def test_good_pair():
-    seq = DifferenceSequence(Group(11), (1, 3))
+    seq = DifferenceSequence(11, (1, 3))
     assert is_good_pair(seq, 0, 1, 1)  # {1,2} vs {3,6} disjoint
-    seq2 = DifferenceSequence(Group(7), (1, 2))
+    seq2 = DifferenceSequence(7, (1, 2))
     assert not is_good_pair(seq2, 0, 1, 1)  # {1,2} meets {2,4}
     with pytest.raises(ValueError):
         E.pair_window_sum(seq2, 0, 1, 1, np.ones(7, dtype=np.int64))
 
 
 def test_pair_embedding_totals():
-    seq = DifferenceSequence(Group(11), (1, 3))
+    seq = DifferenceSequence(11, (1, 3))
     mat = E.pair_embedding(seq, 0, 1, 2, 1)
     assert mat.dim == comb(11, 2) == 55
-    assert mat.total() == 44
+    assert sum(mat.entries.values()) == 44
     assert E.embedding_scale(11, 2, 1) * 11 == 44
     assert E.embedding_scale(11, 2, 1) == comb(2, 1) ** 2 * comb(7, 0)
     dense = mat.to_dense()
     assert np.array_equal(dense, dense.T)
     # non-good pair gives the zero matrix
-    bad = E.pair_embedding(DifferenceSequence(Group(7), (1, 2)), 0, 1, 2, 1)
+    bad = E.pair_embedding(DifferenceSequence(7, (1, 2)), 0, 1, 2, 1)
     assert bad.nnz() == 0
 
 
 def test_pair_embedding_entries_brute_force():
     """Rebuild the matrix definition directly from set conditions."""
     n, s, r = 9, 3, 1
-    g = Group(n)
-    seq = DifferenceSequence(g, (1, 4))
+    seq = DifferenceSequence(n, (1, 4))
     assert is_good_pair(seq, 0, 1, r)
     mat = E.pair_embedding(seq, 0, 1, s, r)
     ix = E.SubsetIndexer(n, s)
@@ -122,7 +121,7 @@ def test_pair_embedding_entries_brute_force():
 
 
 def test_embedding_identity_random_z():
-    seq = DifferenceSequence(Group(11), (1, 3))
+    seq = DifferenceSequence(11, (1, 3))
     mat = E.pair_embedding(seq, 0, 1, 2, 1)
     rng = stream(61, 0)
     for _ in range(25):
@@ -132,18 +131,17 @@ def test_embedding_identity_random_z():
 
 
 def test_quadratic_and_bilinear_forms():
-    seq = DifferenceSequence(Group(11), (1, 3))
+    seq = DifferenceSequence(11, (1, 3))
     mat = E.pair_embedding(seq, 0, 1, 2, 1)
     ones = np.ones(mat.dim, dtype=np.int64)
-    assert mat.quadratic_form(ones) == mat.total()
+    assert mat.quadratic_form(ones) == sum(mat.entries.values())
     dense = mat.to_dense()
     v = spawn_signs(stream(61, 1), mat.dim).astype(np.int64)
     assert mat.quadratic_form(v) == int(v @ dense @ v)
 
 
 def test_scale_add_and_aggregate():
-    g = Group(11)
-    seq = DifferenceSequence(g, (1, 3, 5))
+    seq = DifferenceSequence(11, (1, 3, 5))
     m01 = E.pair_embedding(seq, 0, 1, 2, 1)
     m02 = E.pair_embedding(seq, 0, 2, 2, 1)
     agg = m01.scale_add([(-2, m02)])
@@ -155,8 +153,7 @@ def test_scale_add_and_aggregate():
 
 
 def test_prune_semantics():
-    g = Group(5)
-    seq = DifferenceSequence(g, (1, 4))
+    seq = DifferenceSequence(5, (1, 4))
     mat = E.pair_embedding(seq, 0, 1, 2, 1)
     weights = row_weights(mat)
     thr = float(weights.max())  # prune the heaviest rows
@@ -168,7 +165,7 @@ def test_prune_semantics():
 
 
 def test_dimension_cap():
-    seq = DifferenceSequence(Group(30), (1, 7))
+    seq = DifferenceSequence(30, (1, 7))
     assert comb(30, 5) > E.DIMENSION_CAP
     with pytest.raises(E.DimensionCapError):
         E.pair_embedding(seq, 0, 1, 5, 1)
@@ -179,8 +176,7 @@ def test_default_thresholds():
 
 
 def test_lower_bound_chain_exact_instance():
-    g = Group(7)
-    seq = DifferenceSequence(g, (1, 2, 3, 5))
+    seq = DifferenceSequence(7, (1, 2, 3, 5))
     part = IndexPartition((0, 1), (2, 3))
     rng = stream(61, 2)
     sigma = spawn_signs(rng, 2)
@@ -195,7 +191,7 @@ def test_lower_bound_chain_exact_instance():
 
 
 def test_lower_bound_chain_exact_norm_can_fail(monkeypatch):
-    seq = DifferenceSequence(Group(7), (1, 2, 3, 5))
+    seq = DifferenceSequence(7, (1, 2, 3, 5))
     part = IndexPartition((0, 1), (2, 3))
     signs = np.ones(2, dtype=np.int64)
     z = np.ones(7, dtype=np.int64)
@@ -210,7 +206,7 @@ def test_lower_bound_chain_exact_norm_can_fail(monkeypatch):
 def test_lower_bound_chain_above_enumeration_limit(monkeypatch):
     # dim comb(9, 2) = 36 is past the enumeration budget, so norm_lower is
     # |quadratic| and only the identity and dim * spectral can fail
-    seq = DifferenceSequence(Group(9), (1, 2, 3, 4))
+    seq = DifferenceSequence(9, (1, 2, 3, 4))
     part = IndexPartition((0, 1), (2, 3))
     signs = np.ones(2, dtype=np.int64)
     z = np.ones(9, dtype=np.int64)

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from aplab.groups import ApParams, Group, as_density, density_target, single_support
+from aplab.counting import DifferenceSequence
+from aplab.groups import (
+    ApParams,
+    as_density,
+    default_block_size,
+    density_target,
+    single_support,
+)
 
 
 def test_as_density_decimal_exactness():
@@ -16,15 +23,20 @@ def test_as_density_decimal_exactness():
 
 def test_density_target_avoids_float_ceil():
     # ceil(0.4 * 5) = 2; the binary double for 0.4 would round this up to 3
-    assert density_target(Group(5), ApParams(3, 0.4)) == 2
-    assert density_target(Group(5), ApParams(3, 0.6)) == 3
-    assert density_target(Group(13), ApParams(3, 0.4)) == 6
-    assert density_target(Group(7), ApParams(3, 1)) == 7
+    assert density_target(5, ApParams(3, 0.4)) == 2
+    assert density_target(5, ApParams(3, 0.6)) == 3
+    assert density_target(13, ApParams(3, 0.4)) == 6
+    assert density_target(7, ApParams(3, 1)) == 7
 
 
 def test_group_validation():
+    # Z/N needs N >= 1; the modulus is checked where a sequence is built
     with pytest.raises(ValueError):
-        Group(0)
+        DifferenceSequence(0, (0,))
+    with pytest.raises(ValueError):
+        default_block_size(9, 2)
+    with pytest.raises(ValueError):
+        single_support(7, 0, 1, 0)
 
 
 def test_params_validation():
@@ -41,5 +53,5 @@ def test_params_validation():
 
 
 def test_single_support():
-    assert single_support(Group(11), 0, 3, 1) == [3, 6]
-    assert single_support(Group(7), 2, 1, 2) == [3, 4, 5, 6]
+    assert single_support(11, 0, 3, 1) == [3, 6]
+    assert single_support(7, 2, 1, 2) == [3, 4, 5, 6]

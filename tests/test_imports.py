@@ -1,7 +1,8 @@
 """Every module-level import in the package and the tests is used, every
 name and method the package defines is read by the program, importing the
-package loads none of its modules, and neither its counting layer nor the exact
-``critical-size`` and ``check`` path loads numpy."""
+package loads none of its modules, neither its counting layer nor the exact
+``critical-size`` and ``check`` path loads numpy, and that path loads no
+``dataclasses`` either."""
 import ast
 import os
 import subprocess
@@ -51,8 +52,8 @@ def defined_names(source: str) -> dict[str, int]:
     """Module-level defs, classes and assigned constants, and as ``C.name`` the
     methods and properties of module-level classes, dunders aside.
 
-    Dataclass and NamedTuple fields are annotations, not defs, and are left
-    out: ``_asdict`` and ``repr`` read them without naming them.
+    NamedTuple fields are annotations and ``__slots__`` entries are strings,
+    not defs, and are left out: ``_asdict`` reads fields without naming them.
     """
     names = {}
     for stmt in ast.parse(source).body:
@@ -72,7 +73,8 @@ def defined_names(source: str) -> dict[str, int]:
 
 
 def referenced_names(source: str) -> set[str]:
-    """Names read, attributes touched and names imported, also inside strings.
+    """Names read and imported, and as ``.name`` the attributes touched, also
+    inside strings.
 
     A string that parses as Python is read the same way: that covers
     ``__all__`` entries, the attribute names given to ``setattr`` and
@@ -84,7 +86,7 @@ def referenced_names(source: str) -> set[str]:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found.add("." + node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -95,14 +97,25 @@ def referenced_names(source: str) -> set[str]:
     return found
 
 
+def is_read(name: str, used: set[str]) -> bool:
+    """A module-level name is read by name or as an attribute; a method or
+    property ``C.name`` only as an attribute, so a local of the same name
+    does not keep it."""
+    owner, _, attr = name.rpartition(".")
+    return "." + attr in used or (not owner and attr in used)
+
+
 def test_every_package_name_is_referenced():
     """Every package name, and every method and property of a package class,
     is read in ``src/`` or ``perfbench/``: tests do not count as readers."""
     sample = ("X = 1\n_y: int = 2\n__all__ = ['C']\ndef f():\n    '''Doc.'''\n"
               "class C:\n    Z = 3\n    def g(self):\n        pass\n"
-              "    def __len__(self):\n        return 0\nf('print(m.W)')\n")
-    assert defined_names(sample) == {"X": 1, "_y": 2, "f": 4, "C": 6, "C.g": 8}
-    assert referenced_names(sample) == {"int", "C", "f", "print", "m", "W"}
+              "    def __len__(self):\n        return 0\nf('print(m.W)', g, m.X)\n")
+    defined = defined_names(sample)
+    assert defined == {"X": 1, "_y": 2, "f": 4, "C": 6, "C.g": 8}
+    used = referenced_names(sample)
+    assert used == {"int", "C", "f", "print", "m", ".W", "g", ".X"}
+    assert [name for name in defined if not is_read(name, used)] == ["_y", "C.g"]
     readers = [path for top in ("src", "perfbench")
                for path in sorted((ROOT / top).rglob("*.py"))]
     used = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
@@ -111,7 +124,7 @@ def test_every_package_name_is_referenced():
     for path in PACKAGE:
         names = defined_names(path.read_text(encoding="utf-8"))
         unused = [f"line {line}: {name}" for name, line in names.items()
-                  if name.rpartition(".")[2] not in used]
+                  if not is_read(name, used)]
         if unused:
             dead[path.name] = unused
     assert not dead, dead
@@ -160,10 +173,12 @@ def test_exact_decisions_load_no_numpy(tmp_path, script):
     """A fresh interpreter that imports the CLI, the stream or the decider, or
     runs ``critical-size`` or ``check`` at N = 31, within ``EXACT_LIMIT``,
     ends with no numpy module loaded: those decisions are exact integer work
-    on draws from the pure-Python stream."""
+    on draws from the pure-Python stream.  Nor is ``dataclasses`` loaded (it
+    pulls in ``inspect``): the package's records are NamedTuples and plain
+    classes."""
     script = (f"import sys\nLEDGER = {str(tmp_path / 'runs.ledger')!r}\n{script}\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),\n"
-              "      file=sys.stderr)\n")
+              "      'dataclasses' in sys.modules, file=sys.stderr)\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
-    assert done.stderr.splitlines()[-1] == "[]"
+    assert done.stderr.splitlines()[-1] == "[] False"

@@ -7,7 +7,7 @@ import pytest
 
 from aplab import _kernels, intersectivity
 from aplab.counting import DifferenceSequence, ap_average
-from aplab.groups import ApParams, Group, as_density, density_target
+from aplab.groups import ApParams, as_density, density_target
 from aplab.intersectivity import (_heuristic_free_set, decide, estimate_critical_size,
                                   exact_free_set, minimal_forbidden_sets,
                                   odd_cycle_certified, run_trials, trial,
@@ -21,7 +21,7 @@ def bits(members) -> int:
 
 def oracle_free_set(seq, k, target):
     """The lexicographically first progression-free subset of size target, as a bitmask."""
-    for combo in combinations(range(seq.group.modulus), target):
+    for combo in combinations(range(seq.n), target):
         mask = bits(combo)
         if ap_average(mask, seq, k).numerator == 0:
             return mask
@@ -35,13 +35,13 @@ def oracle_decide(seq, params):
     unnecessary to rule out intersectivity, and removing points never
     creates progressions, so testing one size settles every size above it.
     """
-    target = density_target(seq.group, params)
+    target = density_target(seq.n, params)
     return oracle_free_set(seq, params.k, target) is None
 
 
 def plain_forbidden_sets(seq, k):
     """Reference: every support built, then a quadratic scan for supersets."""
-    n = seq.group.modulus
+    n = seq.n
     supports = set()
     for d in seq.distinct():
         for x in range(n):
@@ -60,7 +60,7 @@ def plain_free_set(seq, k, target):
     Include-first search over vertices in decreasing-degree order, pruned
     only when too few undecided vertices remain.
     """
-    n = seq.group.modulus
+    n = seq.n
     if target <= 0:
         return 0
     if target > n:
@@ -107,29 +107,28 @@ def decider_grid(seed, moduli, per_modulus):
     """
     rng = stream(seed, 0)
     for n in moduli:
-        g = Group(n)
         for k in (2, 3, 4):
-            seqs = [DifferenceSequence.sample(g, int(rng.integers(1, 4)), rng)
+            seqs = [DifferenceSequence.sample(n, int(rng.integers(1, 4)), rng)
                     for _ in range(per_modulus)]
             if n % 2 == 0:
-                seqs.append(DifferenceSequence(g, (n // 2, int(rng.integers(1, n)))))
+                seqs.append(DifferenceSequence(n, (n // 2, int(rng.integers(1, n)))))
             for seq in seqs:
                 best, _ = _heuristic_free_set(seq, k, n + 1, rng)
                 yield seq, k, best + int(rng.integers(0, 2))
-            yield DifferenceSequence(g, (1, 0)), k, 2
+            yield DifferenceSequence(n, (1, 0)), k, 2
 
 
 def test_known_verdicts():
-    g = Group(5)
+    n = 5
     p = ApParams(3, as_density(0.6))
     rng = stream(41, 5)
-    v = decide(DifferenceSequence(g, (1,)), p, rng)
+    v = decide(DifferenceSequence(n, (1,)), p, rng)
     assert not v.intersective
     assert v.witness == bits([0, 1, 3])
     assert v.method == "exact"
     # zero difference repeats a point, so every nonempty set is covered
-    assert decide(DifferenceSequence(g, (0,)), p, rng).intersective
-    assert decide(DifferenceSequence(g, (1, 2, 3, 4)), p, rng).intersective
+    assert decide(DifferenceSequence(n, (0,)), p, rng).intersective
+    assert decide(DifferenceSequence(n, (1, 2, 3, 4)), p, rng).intersective
 
 
 def test_exact_matches_oracle_small():
@@ -138,14 +137,13 @@ def test_exact_matches_oracle_small():
         n = int(rng.integers(4, 11))
         m = int(rng.integers(1, 5))
         eps = float(rng.choice([0.4, 0.6]))
-        g = Group(n)
         params = ApParams(3, as_density(eps))
-        seq = DifferenceSequence.sample(g, m, rng)
+        seq = DifferenceSequence.sample(n, m, rng)
         got = decide(seq, params, rng)
         assert got.intersective == oracle_decide(seq, params)
         if got.witness is not None:
             assert ap_average(got.witness, seq, 3).numerator == 0
-            assert got.witness.bit_count() >= density_target(g, params)
+            assert got.witness.bit_count() >= density_target(n, params)
 
 
 def test_exact_free_set_matches_oracle_witness():
@@ -169,11 +167,11 @@ def test_exact_limit_enforced():
     params = ApParams(3)
     for n, method in ((intersectivity.EXACT_LIMIT, "exact"),
                       (intersectivity.EXACT_LIMIT + 1, "heuristic")):
-        seq = DifferenceSequence(Group(n), (1,))
+        seq = DifferenceSequence(n, (1,))
         v = decide(seq, params, stream(41, 6))
         assert v.method == method
         assert not v.intersective
-        assert v.witness.bit_count() >= density_target(seq.group, params)
+        assert v.witness.bit_count() >= density_target(seq.n, params)
         assert ap_average(v.witness, seq, 3).numerator == 0
 
 
@@ -181,12 +179,12 @@ def test_decide_refuses_a_corrupted_witness(monkeypatch):
     """A witness with one bit flipped into a progression trips the internal
     check, on the exact path and on the heuristic one."""
     def flipped(found, seq, k):
-        return next(found | 1 << v for v in range(seq.group.modulus)
+        return next(found | 1 << v for v in range(seq.n)
                     if ap_average(found | 1 << v, seq, k).numerator)
 
     exact, search = intersectivity.exact_free_set, _kernels.apfree_search_kernel
-    small = DifferenceSequence(Group(5), (1,))
-    large = DifferenceSequence(Group(intersectivity.EXACT_LIMIT + 1), (1,))
+    small = DifferenceSequence(5, (1,))
+    large = DifferenceSequence(intersectivity.EXACT_LIMIT + 1, (1,))
 
     def corrupted(*args):
         size, found = search(*args)
@@ -211,12 +209,11 @@ def test_odd_cycle_certificate_is_sound():
     rng = stream(61, 0)
     proper = 0
     for n in range(5, 26):
-        g = Group(n)
         specials = [0] + [n // j for j in (2, 3) if n % j == 0]
         for k in (2, 3, 4):
-            seqs = [DifferenceSequence.sample(g, int(rng.integers(1, 4)), rng)
+            seqs = [DifferenceSequence.sample(n, int(rng.integers(1, 4)), rng)
                     for _ in range(2)]
-            seqs += [DifferenceSequence(g, (int(rng.integers(1, n)), d)) for d in specials]
+            seqs += [DifferenceSequence(n, (int(rng.integers(1, n)), d)) for d in specials]
             for seq in seqs:
                 certified = [t for t in range(n + 2) if odd_cycle_certified(seq, k, t)]
                 if not certified:
@@ -231,22 +228,22 @@ def test_odd_cycle_certificate_is_sound():
 def test_odd_cycle_certificate_known_cases():
     # D = {1, 3} in Z/128 has only odd steps: the graph is bipartite, the
     # even classes are free, and the odd-length scan stops at t = N
-    bipartite = DifferenceSequence(Group(128), (1, 3))
+    bipartite = DifferenceSequence(128, (1, 3))
     assert not any(odd_cycle_certified(bipartite, 2, t) for t in range(130))
     # 1 + 1 - 2 = 0 closes a triangle in Z/127, so a free set has at most
     # floor(127 * 2 / 6) = 42 points
-    triangle = DifferenceSequence(Group(127), (1, 2))
+    triangle = DifferenceSequence(127, (1, 2))
     assert odd_cycle_certified(triangle, 2, 51)
     assert odd_cycle_certified(triangle, 2, 43)
     assert not odd_cycle_certified(triangle, 2, 42)
     # the 5-cycle Z/5 with D = {1} has free sets of 2 points, none of 3
-    pentagon = DifferenceSequence(Group(5), (1,))
+    pentagon = DifferenceSequence(5, (1,))
     assert [odd_cycle_certified(pentagon, 2, t) for t in range(5)] == [
         False, False, False, True, True]
     # k = 3 has two-point supports only from N/2; d = 0 bans every vertex
     assert not odd_cycle_certified(triangle, 3, 127)
-    assert odd_cycle_certified(DifferenceSequence(Group(9), (0, 4)), 3, 1)
-    assert not odd_cycle_certified(DifferenceSequence(Group(9), (0, 4)), 3, 0)
+    assert odd_cycle_certified(DifferenceSequence(9, (0, 4)), 3, 1)
+    assert not odd_cycle_certified(DifferenceSequence(9, (0, 4)), 3, 0)
 
 
 def test_decide_matches_uncertified_reference(monkeypatch):
@@ -256,11 +253,10 @@ def test_decide_matches_uncertified_reference(monkeypatch):
     cases = []
     for n, k, eps in ((limit, 2, 0.4), (limit + 1, 2, 0.4), (61, 2, 0.4),
                       (64, 2, 0.45), (127, 2, 0.4), (limit + 1, 3, 0.5)):
-        g = Group(n)
         specials = [0] + [n // j for j in (2, 3) if n % j == 0]
-        seqs = [DifferenceSequence.sample(g, int(rng.integers(1, 4)), rng)
+        seqs = [DifferenceSequence.sample(n, int(rng.integers(1, 4)), rng)
                 for _ in range(6)]
-        seqs += [DifferenceSequence(g, (int(rng.integers(1, n)), d)) for d in specials]
+        seqs += [DifferenceSequence(n, (int(rng.integers(1, n)), d)) for d in specials]
         cases += [(seq, ApParams(k, as_density(eps))) for seq in seqs]
     got = [decide(seq, params, stream(61, 2, i)) for i, (seq, params) in enumerate(cases)]
     monkeypatch.setattr(intersectivity, "odd_cycle_certified", lambda *args: False)
@@ -268,15 +264,15 @@ def test_decide_matches_uncertified_reference(monkeypatch):
         want = decide(seq, params, stream(61, 2, i))
         assert got[i].intersective == want.intersective, (seq.entries, params)
         assert got[i].witness == want.witness
-    above = [v for (seq, _), v in zip(cases, got) if seq.group.modulus > limit]
+    above = [v for (seq, _), v in zip(cases, got) if seq.n > limit]
     assert {v.method for v in above} == {"exact", "heuristic"}
     assert all(v.intersective for v in above if v.method == "exact")
     assert any(not v.intersective for v in above)
 
 
 def test_minimal_forbidden_sets():
-    g = Group(7)
-    seq = DifferenceSequence(g, (1, 1, 2))  # repeat collapses
+    n = 7
+    seq = DifferenceSequence(n, (1, 1, 2))  # repeat collapses
     sets = minimal_forbidden_sets(seq, 3)
     assert all(len(s) in (1, 3) or len(s) == len(set(s)) for s in sets)
     # no forbidden set contains another
@@ -285,7 +281,7 @@ def test_minimal_forbidden_sets():
             if a is not b:
                 assert not set(a) <= set(b)
     # d = 0 collapses to singletons which dominate everything
-    single = minimal_forbidden_sets(DifferenceSequence(g, (0, 1)), 3)
+    single = minimal_forbidden_sets(DifferenceSequence(n, (0, 1)), 3)
     assert all(len(s) == 1 for s in single)
     assert len(single) == 7
 
@@ -303,7 +299,7 @@ def test_minimal_forbidden_sets_match_superset_scan():
         for k in range(1, 6):
             for extra in [[]] + [[d] for d in specials]:
                 entries = list(rng.integers(0, n, size=int(rng.integers(1, 4)))) + extra
-                seq = DifferenceSequence(Group(n), tuple(entries))
+                seq = DifferenceSequence(n, tuple(entries))
                 assert minimal_forbidden_sets(seq, k) == plain_forbidden_sets(seq, k), entries
 
 
@@ -320,7 +316,7 @@ def test_minimal_forbidden_sets_give_every_vertex_one_degree():
         for k in range(1, 6):
             for extra in [[], [], specials]:
                 entries = list(rng.integers(0, n, size=int(rng.integers(1, 5)))) + extra
-                sets = minimal_forbidden_sets(DifferenceSequence(Group(n), tuple(entries)), k)
+                sets = minimal_forbidden_sets(DifferenceSequence(n, tuple(entries)), k)
                 degrees = np.bincount([v for s in sets for v in s], minlength=n)
                 assert degrees.min() == degrees.max(), (n, k, entries)
 
@@ -330,8 +326,7 @@ def test_heuristic_returns_free_set():
     for _ in range(25):
         n = int(rng.integers(5, 30))
         m = int(rng.integers(1, 5))
-        g = Group(n)
-        seq = DifferenceSequence.sample(g, m, rng)
+        seq = DifferenceSequence.sample(n, m, rng)
         size, free = _heuristic_free_set(seq, 3, n + 1, rng)
         assert free.bit_count() == size
         if size:
@@ -340,8 +335,7 @@ def test_heuristic_returns_free_set():
 
 def test_heuristic_finds_known_maximum():
     # N=7, D=(1): the largest progression-free set has 4 points
-    g = Group(7)
-    seq = DifferenceSequence(g, (1,))
+    seq = DifferenceSequence(7, (1,))
     size, free = _heuristic_free_set(seq, 3, 8, stream(41, 2))
     assert size == free.bit_count() == 4
 
@@ -362,7 +356,7 @@ def test_heuristic_orders_match_per_row_permutations(monkeypatch):
     restarts = intersectivity.HEURISTIC_RESTARTS_DEFAULT
     passes = intersectivity.HEURISTIC_PASSES_DEFAULT
     for seed, n in [(1012, 17), (1013, 31), (7919, 61), (3, 127)]:
-        seq = DifferenceSequence(Group(n), (1, 3))
+        seq = DifferenceSequence(n, (1, 3))
         _heuristic_free_set(seq, 2, n + 1, stream(seed, 5, n))
         ref = stream(seed, 5, n)
         want = np.stack([ref.permutation(n) for _ in range(restarts)])
@@ -374,18 +368,18 @@ def test_heuristic_orders_match_per_row_permutations(monkeypatch):
 
 def test_trial_agreement_with_exact(monkeypatch):
     """Within the exact limit trial is exact; the heuristic branch is one-sided."""
-    g = Group(9)
+    n = 9
     params = ApParams(3, as_density(0.5))
     heuristic_free = 0
     for t in range(40):
         rng = stream(43, 3, t)
-        seq = DifferenceSequence.sample(g, 2, rng)
+        seq = DifferenceSequence.sample(n, 2, rng)
         want = decide(seq, params, rng).intersective
-        got = trial(g, params, 2, stream(43, 3, t))
+        got = trial(n, params, 2, stream(43, 3, t))
         assert got == want
         with monkeypatch.context() as patched:
             patched.setattr(intersectivity, "EXACT_LIMIT", 0)
-            heuristic = trial(g, params, 2, stream(43, 3, t))
+            heuristic = trial(n, params, 2, stream(43, 3, t))
         assert heuristic or not want
         heuristic_free += not heuristic
     assert heuristic_free > 0
@@ -408,15 +402,15 @@ def test_trial_within_exact_limit_skips_the_heuristic(monkeypatch):
 
     monkeypatch.setattr(intersectivity, "minimal_forbidden_sets", counted_build)
     monkeypatch.setattr(_kernels, "apfree_search_kernel", counted_search)
-    g = Group(13)
+    n = 13
     certified = set()
     for params in (ApParams(2, as_density(0.3)), ApParams(3, as_density(0.5))):
-        target = density_target(g, params)
+        target = density_target(n, params)
         for t in range(12):
-            seq = DifferenceSequence.sample(g, 2, stream(47, 1, t))
+            seq = DifferenceSequence.sample(n, 2, stream(47, 1, t))
             sure = odd_cycle_certified(seq, params.k, target)
             before = calls["forbidden"]
-            trial(g, params, 2, stream(47, 1, t))
+            trial(n, params, 2, stream(47, 1, t))
             assert calls["forbidden"] == before + (not sure), seq.entries
             certified.add(sure)
     assert certified == {True, False}
@@ -441,22 +435,22 @@ def test_wilson_z_is_the_normal_quantile():
 
 def test_run_trials_scheduling_independent():
     """Trial t draws only from stream (seed, m, t), whatever range it runs in."""
-    g = Group(5)
+    n = 5
     p = ApParams(3, as_density(0.6))
-    a = run_trials(g, p, 1, 64, 7)
-    assert a == sum(trial(g, p, 1, stream(7, 1, t)) for t in range(64))
+    a = run_trials(n, p, 1, 64, 7)
+    assert a == sum(trial(n, p, 1, stream(7, 1, t)) for t in range(64))
     # offset extends the index range rather than replaying draws
-    c = run_trials(g, p, 1, 32, 7) + run_trials(g, p, 1, 32, 7, offset=32)
+    c = run_trials(n, p, 1, 32, 7) + run_trials(n, p, 1, 32, 7, offset=32)
     assert c == a
-    assert run_trials(g, p, 1, 32, 7, offset=32) == sum(
-        trial(g, p, 1, stream(7, 1, t)) for t in range(32, 64))
+    assert run_trials(n, p, 1, 32, 7, offset=32) == sum(
+        trial(n, p, 1, stream(7, 1, t)) for t in range(32, 64))
 
 
 def test_estimate_known_cases():
-    est = estimate_critical_size(Group(5), ApParams(3, as_density(1.0)),
+    est = estimate_critical_size(5, ApParams(3, as_density(1.0)),
                                  trials_per_m=50, seed=2)
     assert est.m_star == 1  # the full set always carries a progression
-    est2 = estimate_critical_size(Group(5), ApParams(3, as_density(0.6)),
+    est2 = estimate_critical_size(5, ApParams(3, as_density(0.6)),
                                   trials_per_m=100, seed=2)
     assert est2.m_star >= 2  # p(1) = 1/5 sits far below one half
     curve_m = [pt.m for pt in est2.curve]

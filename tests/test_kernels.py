@@ -7,7 +7,6 @@ import numpy as np
 from aplab import _kernels as K
 from aplab import norms
 from aplab.counting import DifferenceSequence, RationalCount, ap_average
-from aplab.groups import Group
 from aplab.intersectivity import minimal_forbidden_sets
 from aplab.rng import stream
 
@@ -133,7 +132,7 @@ def search_grid(seed):
             restarts, passes = shapes[count % 4]
             count += 1
             entries = list(rng.integers(0, n, size=int(rng.integers(1, 4)))) + extra
-            edges = minimal_forbidden_sets(DifferenceSequence(Group(n), tuple(entries)), k)
+            edges = minimal_forbidden_sets(DifferenceSequence(n, tuple(entries)), k)
             ptr, vtx, v_ptr, v_edges = K.csr_incidence(edges, n)
             perms = np.stack([rng.permutation(n) for _ in range(restarts)]).astype(np.int64)
             removals = rng.integers(0, n, size=(restarts, passes), dtype=np.int64)
@@ -305,7 +304,7 @@ def test_single_difference_agrees_with_brute_force():
         d = int(rng.integers(0, n))
         k = int(rng.integers(2, 6))
         want = RationalCount(brute_progressions(member, d, k), n)
-        assert ap_average(to_mask(member), DifferenceSequence(Group(n), (d,)), k) == want
+        assert ap_average(to_mask(member), DifferenceSequence(n, (d,)), k) == want
 
 
 def test_all_diffs_kernel_paths_agree():
@@ -317,7 +316,7 @@ def test_all_diffs_kernel_paths_agree():
         member = (rng.random(n) < 0.6).astype(np.uint8)
         k = int(rng.integers(2, 5))
         want = sum(brute_progressions(member, d, k) for d in range(n))
-        every = DifferenceSequence(Group(n), tuple(range(n)))
+        every = DifferenceSequence(n, tuple(range(n)))
         assert ap_average(to_mask(member), every, k) == RationalCount(want, n * n)
 
 

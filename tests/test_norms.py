@@ -9,7 +9,6 @@ from aplab import _kernels
 from aplab import norms as N
 from aplab.counting import DifferenceSequence
 from aplab.embedding import pair_embedding
-from aplab.groups import Group
 from aplab.rng import stream
 
 
@@ -79,7 +78,7 @@ def test_inf_to_one_bounds_sandwich():
 
 
 def test_spectral_norm_on_embedding_matrix():
-    seq = DifferenceSequence(Group(11), (1, 3))
+    seq = DifferenceSequence(11, (1, 3))
     dense = pair_embedding(seq, 0, 1, 2, 1).to_dense()
     assert N.spectral_norm(dense) == np.linalg.norm(dense, 2)
     assert N.spectral_norm(np.zeros((0, 0))) == 0.0
@@ -92,7 +91,7 @@ def test_one_to_one_norm_is_max_column_mass():
     mat = rng.integers(-4, 5, size=(7, 7)).astype(np.float64)
     want = np.abs(mat).sum(axis=0).max()
     assert N.one_to_one_norm(mat) == want
-    seq = DifferenceSequence(Group(11), (1, 3))
+    seq = DifferenceSequence(11, (1, 3))
     emb = pair_embedding(seq, 0, 1, 2, 1)
     want = max(sum(abs(v) for (_, col), v in emb.entries.items() if col == c)
                for c in range(emb.dim))
