@@ -80,7 +80,8 @@ def _peak_rss_kib() -> int:
 
     On Linux ``ru_maxrss`` also counts the image forked from the parent
     before exec, so ``VmHWM``, the high-water mark of this image alone, is
-    read where ``/proc`` exists.
+    read where ``/proc`` exists.  Elsewhere ``ru_maxrss`` is in KiB, except
+    on macOS, which reports bytes.
     """
     try:
         with open("/proc/self/status", "rb") as fh:
@@ -90,14 +91,15 @@ def _peak_rss_kib() -> int:
     except OSError:
         pass
     import resource
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def _finish(payload: dict, out: str, started: float) -> int:
     """Ledger ``payload`` with its run cost, then print it; return the exit code."""
     ledger_rec = dict(payload)
     ledger_rec["wall_time_s"] = time.monotonic() - started
-    # KiB on Linux; MB here means MiB, as perfbench reports it
+    # MB here means MiB, as perfbench reports it
     ledger_rec["peak_rss_mb"] = _peak_rss_kib() / 1024.0
     append_ledger(out, ledger_rec)
     sys.stdout.write(dumps_record(payload) + "\n")
@@ -359,35 +361,22 @@ def cmd_norms(args) -> dict:
     import numpy as np
 
     from . import embedding, norms
-    params = {"demo": args.demo}
-    if args.demo == "window":  # the 55 x 55 aggregated subset-pair matrix
-        rng = stream(args.seed, 24)
-        seq = DifferenceSequence.sample(11, 4, rng)
-        tau = spawn_signs(rng, 3)
-        mat = embedding.aggregate_pair_embeddings(seq, 0, tau, (1, 2, 3), 2, 1).to_dense()
-    else:
-        dim = params["dim"] = 8 if args.dim is None else args.dim
-        if dim > norms.DENSE_DIM_CAP:
-            raise ValueError(f"dim must be at most {norms.DENSE_DIM_CAP} "
-                             f"for the {args.demo} demo, got {dim}")
-        if args.demo == "identity":
-            mat = np.eye(dim)
-        else:
-            half = stream(args.seed, 23).integers(-3, 4, size=(dim, dim))
-            mat = (half + half.T).astype(np.float64)
-    payload = _payload("norms", params, args.seed)
+    rng = stream(args.seed, 24)  # the 55 x 55 aggregated subset-pair matrix at N = 11
+    seq = DifferenceSequence.sample(11, 4, rng)
+    tau = spawn_signs(rng, 3)
+    mat = embedding.aggregate_pair_embeddings(seq, 0, tau, (1, 2, 3), 2, 1).to_dense()
+    payload = _payload("norms", {}, args.seed)
     report = norms.norm_report(mat, stream(args.seed, 25))
     payload["results"] = {
         "dim": report.dim, "spectral": report.spectral,
         "one_to_one": report.one_to_one,
         "inf_to_one_lower": report.inf_to_one_lower,
         "inf_to_one_upper": report.inf_to_one_upper,
-        "inf_to_one_exact": report.inf_to_one_exact,
     }
     tol = 1e-6 * max(1.0, report.spectral)
-    if report.inf_to_one_exact is not None:
-        _assert_into(payload, "inf-to-one-below-dim-spectral",
-                     report.inf_to_one_exact <= report.dim * report.spectral + tol)
+    # the lower end is a certified sign-pair value, found without the spectral solve
+    _assert_into(payload, "inf-to-one-below-dim-spectral",
+                 report.inf_to_one_lower <= report.dim * report.spectral + tol)
     if np.array_equal(mat, mat.T):
         _assert_into(payload, "spectral-below-one-to-one",
                      report.spectral <= report.one_to_one + tol)
@@ -442,12 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--trials", type=int, default=2000)
 
-    p = command("norms", cmd_norms, "norm report for a demo matrix")
-    p.add_argument("--demo", choices=("identity", "random", "window"),
-                   default="identity")
-    p.add_argument("--dim", type=int, default=None,
-                   help="size of the identity or random matrix (default 8); "
-                        "the window matrix has a fixed size")
+    command("norms", cmd_norms, "norm report for the aggregated window matrix")
     return parser
 
 
@@ -460,10 +444,6 @@ def _validate(args) -> str | None:
         return "trials must be positive"
     if not 2 <= getattr(args, "k", 2) <= MAX_PROGRESSION_LENGTH:
         return f"k must lie in [2, {MAX_PROGRESSION_LENGTH}]"
-    if getattr(args, "dim", None) is not None and args.dim < 1:
-        return "dim must be positive"
-    if args.command == "norms" and args.demo == "window" and args.dim is not None:
-        return "the window demo builds a fixed 55 x 55 matrix and takes no dim"
     if args.command == "khintchine" and args.dim < 2:
         return "khintchine needs dim at least 2 (its bound has a log d factor)"
     if getattr(args, "count", 1) < 1:

@@ -11,7 +11,7 @@ and the inf->1 norm never exceeds the total l1 mass of the entries.
 from __future__ import annotations
 
 from math import log, sqrt
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def _sign_plus(vec: np.ndarray) -> np.ndarray:
 
 
 def inf_to_one_bounds(mat, spectral: float, rng) -> tuple[float, float]:
-    """Bracket for the inf->1 norm of a large matrix with spectral norm ``spectral``.
+    """Bracket for the inf->1 norm of a matrix with spectral norm ``spectral``.
 
     Lower bound: alternating ascent u -> sign(Mv), v -> sign(M^T u) from
     the all-ones start and ``ASCENT_RESTARTS`` random starts drawn from
@@ -113,25 +113,18 @@ class NormReport(NamedTuple):
     one_to_one: float
     inf_to_one_lower: float
     inf_to_one_upper: float
-    inf_to_one_exact: Optional[float]  # set when the dimension allows enumeration
 
 
 def norm_report(mat, rng) -> NormReport:
-    """All three norms, with the inf->1 value exact when small enough.
+    """All three norms, with the inf->1 norm bracketed.
 
     The spectral norm is solved once; the inf->1 bracket reuses it and
     draws its ascent starts from ``rng``.
     """
     arr = _square(mat)
-    dim = arr.shape[0]
     spec = spectral_norm(arr)
-    exact = None
-    if dim <= _kernels.ENUM_LIMIT:
-        exact, _ = inf_to_one_exact(arr)
-        lower = upper = exact
-    else:
-        lower, upper = inf_to_one_bounds(arr, spec, rng)
-    return NormReport(dim, spec, one_to_one_norm(arr), lower, upper, exact)
+    lower, upper = inf_to_one_bounds(arr, spec, rng)
+    return NormReport(arr.shape[0], spec, one_to_one_norm(arr), lower, upper)
 
 
 class KhintchineReport(NamedTuple):

@@ -325,7 +325,7 @@ def test_criterion_13_payload_determinism(criterion, capsys, tmp_path):
          "--seed", "7"],
         ["kimvu", "--modulus", "11", "--m", "4", "--seed", "2",
          "--trials", "100"],
-        ["norms", "--demo", "random", "--dim", "12", "--seed", "4"],
+        ["norms", "--seed", "4"],
     ]
     for argv in commands:
         main(argv + ["--out", ledger])

@@ -6,8 +6,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from aplab import _kernels, cli, discrepancy, embedding, intersectivity, norms
@@ -46,15 +46,15 @@ def test_ledger_carries_wall_time(capsys, tmp_path):
             ["verify"],
             ["khintchine", "--dim", "4", "--count", "2", "--trials", "5"],
             ["kimvu", "--trials", "20"],
-            ["norms", "--demo", "identity", "--dim", "4"])
+            ["norms"])
     for argv in runs:
         code, out = run_cli(capsys, tmp_path, *argv)
         assert code == 0, argv
         # stdout stays free of timing and memory so repeated runs compare byte-equal
         assert "wall_time_s" not in out and "peak_rss_mb" not in out, argv
-    # a dimension past the dense cap fails before any payload exists
-    code, out = run_cli(capsys, tmp_path, "norms", "--dim",
-                        str(norms.DENSE_DIM_CAP + 1))
+    # two matrices at the dense cap fail before any payload exists
+    code, out = run_cli(capsys, tmp_path, "khintchine", "--dim", str(norms.DENSE_DIM_CAP),
+                        "--count", "2")
     assert (code, out) == (1, "")
     ledger = (tmp_path / "runs.ledger").read_text(encoding="ascii")
     rows = [json.loads(line) for line in ledger.splitlines()]
@@ -181,32 +181,6 @@ def test_kimvu_instance(capsys, tmp_path):
     assert payload["assertions"][0]["pass"] is True
 
 
-def test_norms_identity_demo(capsys, tmp_path):
-    code, out = run_cli(capsys, tmp_path, "norms", "--demo", "identity",
-                        "--dim", "8")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["results"]["spectral"] == 1
-    assert payload["results"]["inf_to_one_exact"] == 8
-    assert payload["results"]["one_to_one"] == 1
-
-
-def test_norms_random_demo_is_the_dense_spectral_norm(capsys, tmp_path):
-    """Above dimension 512 the spectral norm is the dense solve, to the bit,
-    and the inf->1 bracket's upper end is at most dim times it."""
-    code, out = run_cli(capsys, tmp_path, "norms", "--demo", "random",
-                        "--dim", "600", "--seed", "3")
-    assert code == 0
-    results = json.loads(out)["results"]
-    half = stream(3, 23).integers(-3, 4, size=(600, 600))
-    mat = (half + half.T).astype(np.float64)
-    assert results["spectral"] == float(np.linalg.norm(mat, 2))
-    assert "spectral_converged" not in results
-    assert results["inf_to_one_exact"] is None
-    assert (results["inf_to_one_lower"] <= results["inf_to_one_upper"]
-            <= 600 * results["spectral"])
-
-
 def test_usage_errors_exit_two(capsys, tmp_path):
     for argv in (["critical-size", "--modulus", "0"],
                  ["critical-size", "--modulus", "5", "--epsilon", "1.5"],
@@ -222,9 +196,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["check", "--modulus", "7", "--differences", "1",
                   "--seed", str(2**64 + 1)],
                  ["khintchine", "--dim", "1"],
-                 ["norms", "--dim", "0"],
-                 ["norms", "--demo", "window", "--dim", "8"],
-                 ["norms", "--demo", "window", "--dim", "55"]):
+                 ["norms", "--dim", "8"],
+                 ["norms", "--demo", "window"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "runs.ledger")])
         assert exc.value.code == 2, argv
@@ -242,7 +215,9 @@ def test_range_errors_report_their_subcommand_usage(capsys, tmp_path):
                            "differences must lie in 0..6"),
                           (["critical-size", "--modulus", "0"], "modulus must be positive"),
                           (["kimvu", "--k", "4"], "half-length r requires odd k"),
-                          (["norms", "--demo", "window", "--dim", "8"], "takes no dim"),
+                          (["norms", "--dim", "8"], "unrecognized arguments: --dim 8"),
+                          (["norms", "--demo", "window"],
+                           "unrecognized arguments: --demo window"),
                           (["kimvu", "--s", "1"], "unrecognized arguments: --s 1"),
                           (["check", "--modulus", "7", "--differences", "1", "--bogus"],
                            "unrecognized arguments: --bogus")):
@@ -256,34 +231,24 @@ def test_range_errors_report_their_subcommand_usage(capsys, tmp_path):
 
 
 def test_norms_window_demo_reports_its_own_size(capsys, tmp_path):
-    """The window matrix is the fixed 55 x 55 aggregate; its params name no dim."""
-    code, out = run_cli(capsys, tmp_path, "norms", "--demo", "window")
+    """norms reports the fixed 55 x 55 window aggregate; its params are empty."""
+    code, out = run_cli(capsys, tmp_path, "norms")
     payload = json.loads(out)
     assert code == 0
-    assert payload["params"] == {"demo": "window"}
+    assert payload["params"] == {}
     assert payload["results"]["dim"] == 55
-    _, out = run_cli(capsys, tmp_path, "norms", "--demo", "random")
-    assert json.loads(out)["params"] == {"demo": "random", "dim": 8}
+    assert [a["name"] for a in payload["assertions"]] == [
+        "inf-to-one-below-dim-spectral", "spectral-below-one-to-one"]
 
 
-def test_norms_accepts_dim_one(capsys, tmp_path):
-    """Only khintchine needs d >= 2; a 1 x 1 norm report is well defined."""
-    code, out = run_cli(capsys, tmp_path, "norms", "--dim", "1")
-    assert code == 0
-    assert json.loads(out)["results"]["dim"] == 1
-
-
-def test_norms_rejects_dim_above_dense_cap(capsys, tmp_path):
-    """identity and random refuse a dimension past DENSE_DIM_CAP before building it."""
-    dim = str(norms.DENSE_DIM_CAP + 1)
-    for demo in ("identity", "random"):
-        code = main(["norms", "--demo", demo, "--dim", dim,
-                     "--out", str(tmp_path / "runs.ledger")])
-        captured = capsys.readouterr()
-        assert code == 1, demo
-        assert captured.err.startswith("error:"), demo
-        assert captured.out == "", demo
-    assert not (tmp_path / "runs.ledger").exists()
+def test_norms_fails_when_the_bracket_exceeds_dim_times_spectral(capsys, tmp_path,
+                                                                   monkeypatch):
+    """A spectral norm too small for the certified inf->1 lower end fails the run."""
+    monkeypatch.setattr(norms, "spectral_norm", lambda mat: 0.0)
+    code, out = run_cli(capsys, tmp_path, "norms")
+    assert code == 1
+    failed = [a["name"] for a in json.loads(out)["assertions"] if not a["pass"]]
+    assert failed == ["inf-to-one-below-dim-spectral"]
 
 
 def test_khintchine_refuses_more_than_one_capped_matrix(capsys, tmp_path, monkeypatch):
@@ -402,6 +367,20 @@ def test_ledger_peak_rss_leaves_out_the_launcher(tmp_path):
     assert 0 < peak < 64
 
 
+@pytest.mark.parametrize("platform, kib", [("linux", 20480), ("darwin", 20)])
+def test_peak_rss_fallback_reads_bytes_on_macos(monkeypatch, platform, kib):
+    """Without ``/proc``, ``ru_maxrss`` is the peak: in KiB, but in bytes on macOS."""
+    import resource
+
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=20480))
+    monkeypatch.setattr(sys, "platform", platform)
+    assert cli._peak_rss_kib() == kib
+
+
 def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:
     """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
     ledger = str(tmp_path / "runs.ledger")
@@ -419,10 +398,8 @@ def modules_after_main(tmp_path, argv) -> tuple[int, set[str]]:
     ["check", "--modulus", "7", "--differences", "1,2"],
     ["khintchine", "--dim", "4", "--count", "2", "--trials", "5"],
     ["kimvu", "--trials", "50"],
-    ["norms", "--demo", "random", "--dim", "600"],
-    ["norms", "--demo", "window"],
-], ids=["verify", "critical-size", "check", "khintchine", "kimvu", "norms-random",
-        "norms-window"])
+    ["norms"],
+], ids=["verify", "critical-size", "check", "khintchine", "kimvu", "norms-window"])
 def test_no_subcommand_imports_scipy(tmp_path, argv):
     """A fresh interpreter runs every subcommand without loading any scipy module.
 
@@ -475,10 +452,10 @@ def test_cli_leaves_the_env_alone_once_numpy_is_loaded():
 
 def test_norms_stdout_does_not_depend_on_blas_threads(tmp_path):
     """A dense spectral norm at dimension 300 is byte-stable across hosts' core counts."""
-    args = ["-m", "aplab.cli", "norms", "--demo", "random", "--dim", "300", "--seed", "3",
-            "--out", str(tmp_path / "runs.ledger")]
+    args = ["-m", "aplab.cli", "khintchine", "--dim", "300", "--count", "2", "--trials", "2",
+            "--seed", "3", "--out", str(tmp_path / "runs.ledger")]
     default = fresh_interpreter(args).stdout
-    assert '"spectral":' in default
+    assert '"mean_norm":' in default
     assert default == fresh_interpreter(args, OPENBLAS_NUM_THREADS="1").stdout
 
 

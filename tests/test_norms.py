@@ -100,18 +100,19 @@ def test_one_to_one_norm_is_max_column_mass():
 
 
 def test_norm_report_consistency():
+    """The report's bracket holds the enumerated inf->1 norm up to the enumeration limit."""
     rng = stream(83, 4)
-    half = rng.integers(-3, 4, size=(10, 10))
-    mat = (half + half.T).astype(np.float64)
-    rep = N.norm_report(mat, rng)
-    assert rep.dim == 10
-    assert rep.inf_to_one_exact is not None
-    assert rep.inf_to_one_lower == rep.inf_to_one_exact == rep.inf_to_one_upper
-    assert rep.inf_to_one_exact <= rep.dim * rep.spectral + 1e-6
-    assert rep.spectral <= rep.one_to_one + 1e-9
+    for d in (1, 10, _kernels.ENUM_LIMIT):
+        half = rng.integers(-3, 4, size=(d, d))
+        mat = (half + half.T).astype(np.float64)
+        rep = N.norm_report(mat, rng)
+        exact, _ = N.inf_to_one_exact(mat)
+        assert rep.dim == d
+        assert rep.inf_to_one_lower <= exact <= rep.inf_to_one_upper + 1e-9
+        assert exact <= rep.dim * rep.spectral + 1e-6
+        assert rep.spectral <= rep.one_to_one + 1e-9
     big = rng.standard_normal((30, 30))
     rep2 = N.norm_report(big, rng)
-    assert rep2.inf_to_one_exact is None
     assert rep2.inf_to_one_lower <= rep2.inf_to_one_upper
 
 
@@ -125,7 +126,6 @@ def test_norm_report_solves_the_spectral_norm_once(monkeypatch):
 
     monkeypatch.setattr(N, "spectral_norm", counted)
     big = stream(83, 9).standard_normal((30, 30))
-    assert 30 > _kernels.ENUM_LIMIT  # the inf->1 bracket path
     rep = N.norm_report(big, stream(83, 10))
     assert calls == [(30, 30)]
     assert rep.spectral == pytest.approx(np.linalg.norm(big, 2))
@@ -138,9 +138,6 @@ def test_enumeration_limit_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(_kernels, "ENUM_LIMIT", 4)
     with pytest.raises(ValueError):
         N.inf_to_one_exact(mat)
-    rep = N.norm_report(mat, stream(83, 12))
-    assert rep.inf_to_one_exact is None
-    assert rep.inf_to_one_lower == 5.0
 
 
 def test_khintchine_bound_formula():
