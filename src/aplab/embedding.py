@@ -4,20 +4,20 @@ For a cross pair (d_i, d_j) whose step windows at a common start are
 disjoint (4r distinct points), the matrix entry at (S, T) counts the
 starts x where S meets each window in exactly r points and T is the
 symmetric difference of S with the union window.  Rows and columns are
-indexed by the s-subsets of Z/N in colexicographic order.  The heart of
-the module is the exact quadratic identity tying these matrices to
-window sums of sign products, and the chain of norm bounds that an
-aggregate of them satisfies.
+indexed by the s-subsets of Z/N in colexicographic order
+(``colex_subsets``).  The heart of the module is the exact quadratic
+identity tying these matrices to window sums of sign products, and the
+chain of norm bounds that an aggregate of them satisfies.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import _kernels, norms
+from . import norms
 from .counting import DifferenceSequence
 from .discrepancy import IndexPartition, _as_signs, _window_products, is_good_pair
 from .groups import single_support
@@ -25,71 +25,34 @@ from .groups import single_support
 DIMENSION_CAP = 20000  # largest comb(N, s) a pair matrix may index; read at call time
 
 
-class DimensionCapError(ValueError):
-    """Raised when comb(N, s) exceeds ``DIMENSION_CAP``."""
+def colex_subsets(n: int, s: int) -> list[tuple[int, ...]]:
+    """The s-subsets of 0..n-1 in colexicographic order, each sorted.
 
-
-class SubsetIndexer:
-    """Colexicographic ranking of the s-subsets of 0..n-1.
-
-    The rank of a sorted subset a_0 < a_1 < ... is sum_i comb(a_i, i+1);
-    subsets compare by their largest differing element.
+    Subsets compare by their largest differing element, so the position
+    of a_0 < a_1 < ... is sum_i comb(a_i, i+1).
     """
-
-    def __init__(self, n: int, s: int):
-        if n < 0 or s < 0 or s > n:
-            raise ValueError("need 0 <= s <= n")
-        self.n = n
-        self.s = s
-        self.count = comb(n, s)
-
-    def rank(self, subset) -> int:
-        sub = tuple(subset)
-        if len(sub) != self.s:
-            raise ValueError(f"subset must have {self.s} elements")
-        total = 0
-        prev = -1
-        for i, a in enumerate(sub):
-            if a <= prev or a >= self.n:
-                raise ValueError("subset must be strictly increasing within 0..n-1")
-            prev = a
-            total += comb(a, i + 1)
-        return total
-
-    def iter_subsets(self) -> Iterator[tuple[int, ...]]:
-        """All s-subsets in rank (colex) order.
-
-        Colex order is the lexicographic order of the subsets of the
-        descending universe n-1, ..., 0, reversed; each subset is then
-        read back in increasing order.
-        """
-        down = list(combinations(range(self.n - 1, -1, -1), self.s))
-        return (sub[::-1] for sub in reversed(down))
+    return sorted(combinations(range(n), s), key=lambda sub: sub[::-1])
 
 
 def lift_signs(Z, s: int) -> np.ndarray:
-    """Subset products prod_{y in S} Z(y) in colex rank order, as int8."""
+    """Subset products prod_{y in S} Z(y) in colex order, as int8."""
     zz = _as_signs(Z, np.size(Z))
-    indexer = SubsetIndexer(zz.shape[0], s)
-    subsets = np.array(list(indexer.iter_subsets()), dtype=np.int64)
-    return zz[subsets.reshape(indexer.count, s)].prod(axis=1).astype(np.int8)
+    subsets = colex_subsets(zz.shape[0], s)
+    rows = np.array(subsets, dtype=np.int64).reshape(len(subsets), s)
+    return zz[rows].prod(axis=1).astype(np.int8)
 
 
 class EmbeddingMatrix:
-    """Sparse integer matrix over ranked s-subsets, with window metadata."""
+    """Sparse integer matrix over colex-ordered s-subsets, with window metadata."""
 
-    __slots__ = ("n", "s", "r", "indexer", "entries")
+    __slots__ = ("n", "s", "r", "dim", "entries")
 
     def __init__(self, n: int, s: int, r: int, entries: Optional[dict] = None):
         self.n = n
         self.s = s
         self.r = r
-        self.indexer = SubsetIndexer(n, s)
+        self.dim = comb(n, s)
         self.entries = {k: v for k, v in (entries or {}).items() if v != 0}
-
-    @property
-    def dim(self) -> int:
-        return self.indexer.count
 
     def nnz(self) -> int:
         return len(self.entries)
@@ -120,11 +83,6 @@ class EmbeddingMatrix:
                 acc[key] = acc.get(key, 0) + coef * v
         return EmbeddingMatrix(self.n, self.s, self.r, acc)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EmbeddingMatrix)
-                and (self.n, self.s, self.r) == (other.n, other.s, other.r)
-                and self.entries == other.entries)
-
     def __repr__(self) -> str:
         return (f"EmbeddingMatrix(N={self.n}, s={self.s}, r={self.r}, "
                 f"dim={self.dim}, nnz={self.nnz()})")
@@ -143,12 +101,12 @@ def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int,
     if s < 2 * r:
         raise ValueError("block size s must be at least 2r")
     if comb(n, s) > DIMENSION_CAP:
-        raise DimensionCapError(
+        raise ValueError(
             f"comb({n}, {s}) = {comb(n, s)} exceeds the dimension cap {DIMENSION_CAP}")
     if not is_good_pair(seq, i, j, r):
         return EmbeddingMatrix(n, s, r, {})
     d_i, d_j = seq.entries[i], seq.entries[j]
-    indexer = SubsetIndexer(n, s)
+    rank = {sub: pos for pos, sub in enumerate(colex_subsets(n, s))}
     entries: dict[tuple[int, int], int] = {}
     for x in range(n):
         win_i = single_support(n, x, d_i, r)
@@ -160,8 +118,8 @@ def pair_embedding(seq: DifferenceSequence, i: int, j: int, s: int,
                 half = set(pick_i) | set(pick_j)
                 other = union - half
                 for rest in combinations(free, s - 2 * r):
-                    row = indexer.rank(tuple(sorted(half.union(rest))))
-                    col = indexer.rank(tuple(sorted(other.union(rest))))
+                    row = rank[tuple(sorted(half.union(rest)))]
+                    col = rank[tuple(sorted(other.union(rest)))]
                     key = (row, col)
                     entries[key] = entries.get(key, 0) + 1
     return EmbeddingMatrix(n, s, r, entries)
@@ -220,7 +178,6 @@ class ChainReport(NamedTuple):
     quadratic: int
     closed_form: int
     norm_lower: float
-    norm_is_exact: bool
     spectral_upper: float
     ok: bool
 
@@ -234,12 +191,10 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     M(i, j), built as sum_i sigma_i * ``aggregate_pair_embeddings``.  Its
     quadratic form at lift(Z) must equal the closed-form window sum
     (exact integers, from window products built once for the chain, as in
-    ``pair_window_sum``), and |quadratic| must lie below
-    dim * spectral.  Up to ``_kernels.ENUM_LIMIT`` the inf->1 norm is
-    enumerated exactly and must dominate |quadratic| as well.  Above it
-    ``norm_lower`` is |quadratic| itself, a valid lower bound (lift(Z) is
-    a sign vector) that cannot fail the comparison, so ``ok`` leaves it
-    out.
+    ``pair_window_sum``), and |quadratic| must lie below both the exact
+    inf->1 norm and dim * spectral.  A dimension above
+    ``_kernels.ENUM_LIMIT`` raises ``ValueError``, since the norm is
+    enumerated.
     """
     sig = _as_signs(sigma, len(part.left))
     ta = _as_signs(tau, len(part.right))
@@ -256,13 +211,8 @@ def verify_lower_bound_chain(seq: DifferenceSequence, part: IndexPartition,
     identity_ok = quad == closed
 
     dense = mat.to_dense()
+    lower, _ = norms.inf_to_one_exact(dense)
     upper = mat.dim * norms.spectral_norm(dense)
-    exact = mat.dim <= _kernels.ENUM_LIMIT
-    if exact:
-        lower, _ = norms.inf_to_one_exact(dense)
-    else:
-        lower = float(abs(quad))
     tol = 1e-6 * max(1.0, abs(float(quad)))
-    ok = (identity_ok and upper + tol >= abs(quad)
-          and (not exact or lower + tol >= abs(quad)))
-    return ChainReport(identity_ok, quad, closed, lower, exact, upper, ok)
+    ok = identity_ok and min(lower, upper) + tol >= abs(quad)
+    return ChainReport(identity_ok, quad, closed, lower, upper, ok)

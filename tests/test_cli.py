@@ -251,6 +251,23 @@ def test_norms_fails_when_the_bracket_exceeds_dim_times_spectral(capsys, tmp_pat
     assert failed == ["inf-to-one-below-dim-spectral"]
 
 
+def test_norms_fails_when_one_to_one_is_below_spectral(capsys, tmp_path, monkeypatch):
+    """The symmetric aggregate's spectral bound is checked at every seed, so it can fail."""
+    monkeypatch.setattr(norms, "one_to_one_norm", lambda mat: 0.0)
+    code, out = run_cli(capsys, tmp_path, "norms")
+    assert code == 1
+    failed = [a["name"] for a in json.loads(out)["assertions"] if not a["pass"]]
+    assert failed == ["spectral-below-one-to-one"]
+
+
+@pytest.mark.parametrize("seed", ["7", "9"])
+def test_norms_redraws_a_zero_aggregate(capsys, tmp_path, seed):
+    """The first draw at these seeds cancels to the zero matrix; the report is of a redraw."""
+    code, out = run_cli(capsys, tmp_path, "norms", "--seed", seed)
+    assert code == 0
+    assert json.loads(out)["results"]["spectral"] > 0
+
+
 def test_khintchine_refuses_more_than_one_capped_matrix(capsys, tmp_path, monkeypatch):
     """count * dim^2 above DENSE_DIM_CAP^2 fails before any matrix is drawn."""
     def no_draw(*args):
@@ -463,11 +480,11 @@ WORKLOADS = json.loads((Path(__file__).resolve().parent.parent
                         / "perfbench" / "workloads.json").read_text(encoding="ascii"))
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_benchmark_pins_hold_at_the_default_seed(tmp_path, workload):
-    """Each benchmark op prints the stdout pinned by digest for its default CLI seed."""
+@pytest.mark.parametrize("workload, seed", [(name, str(seed)) for name in sorted(WORKLOADS)
+                                            for seed in WORKLOADS[name]["seed_pool"]])
+def test_benchmark_pins_hold_at_every_pool_seed(tmp_path, workload, seed):
+    """Each benchmark op prints the stdout pinned by digest for each seed of its pool."""
     spec = WORKLOADS[workload]
-    seed = str(spec["default_cli_seed"])
     for argv, pinned in zip(spec["ops"], spec["digests"][seed], strict=True):
         stdout = fresh_interpreter(["-m", "aplab.cli", *argv, "--seed", seed,
                                     "--out", str(tmp_path / "runs.ledger")]).stdout

@@ -6,36 +6,35 @@ import numpy as np
 import pytest
 from oracles import prune, row_weights
 
+from aplab import _kernels, norms
 from aplab import embedding as E
-from aplab import norms
 from aplab.counting import DifferenceSequence
 from aplab.discrepancy import IndexPartition, is_good_pair
 from aplab.groups import default_block_size
 from aplab.rng import spawn_signs, stream
 
 
+def colex_rank(sub):
+    """Position of the sorted subset a_0 < a_1 < ... in colex order."""
+    return sum(comb(a, i + 1) for i, a in enumerate(sub))
+
+
 def test_indexer_is_colex_bijection():
     for n, s in ((6, 3), (9, 2), (5, 5), (4, 0), (7, 1), (0, 0), (1, 1), (12, 5)):
-        ix = E.SubsetIndexer(n, s)
-        subs = list(ix.iter_subsets())
-        assert len(subs) == comb(n, s)
-        assert subs == sorted(subs, key=lambda t: t[::-1])  # colex order
-        for rank, sub in enumerate(subs):
-            assert ix.rank(sub) == rank
-    with pytest.raises(ValueError):
-        E.SubsetIndexer(5, 2).rank((3, 3))
-    with pytest.raises(ValueError):
-        E.SubsetIndexer(5, 2).rank((0, 5))
+        subs = E.colex_subsets(n, s)
+        assert len(subs) == len(set(subs)) == comb(n, s)
+        for pos, sub in enumerate(subs):
+            assert list(sub) == sorted(set(sub)) and all(0 <= a < n for a in sub)
+            assert colex_rank(sub) == pos
 
 
 def test_lift_signs_products():
     z = np.array([1, -1, 1, -1], dtype=np.int64)
     lift = E.lift_signs(z, 2)
-    ix = E.SubsetIndexer(4, 2)
-    assert lift[ix.rank((1, 3))] == 1
-    assert lift[ix.rank((0, 1))] == -1
-    for sub in ix.iter_subsets():
-        assert lift[ix.rank(sub)] == z[list(sub)].prod()
+    assert lift[colex_rank((1, 3))] == 1
+    assert lift[colex_rank((0, 1))] == -1
+    for sub in combinations(range(4), 2):
+        assert lift[colex_rank(sub)] == z[list(sub)].prod()
     assert E.lift_signs(z, 0).tolist() == [1]  # the empty product
     assert E.lift_signs(z, 4).tolist() == [1]  # the one 4-subset
     assert E.lift_signs(z[:3], 3).tolist() == [-1]
@@ -87,7 +86,7 @@ def test_pair_embedding_totals():
     assert E.embedding_scale(11, 2, 1) * 11 == 44
     assert E.embedding_scale(11, 2, 1) == comb(2, 1) ** 2 * comb(7, 0)
     dense = mat.to_dense()
-    assert np.array_equal(dense, dense.T)
+    assert (dense == dense.T).all()
     # non-good pair gives the zero matrix
     bad = E.pair_embedding(DifferenceSequence(7, (1, 2)), 0, 1, 2, 1)
     assert bad.nnz() == 0
@@ -99,7 +98,6 @@ def test_pair_embedding_entries_brute_force():
     seq = DifferenceSequence(n, (1, 4))
     assert is_good_pair(seq, 0, 1, r)
     mat = E.pair_embedding(seq, 0, 1, s, r)
-    ix = E.SubsetIndexer(n, s)
     d_i, d_j = seq.entries
     direct = {}
     for x in range(n):
@@ -115,7 +113,7 @@ def test_pair_embedding_entries_brute_force():
                 continue
             if len(tt & wi) != r or len(tt & wj) != r:
                 continue
-            key = (ix.rank(sub_s), ix.rank(tuple(sorted(tt))))
+            key = (colex_rank(sub_s), colex_rank(sorted(tt)))
             direct[key] = direct.get(key, 0) + 1
     assert dict(mat.entries) == direct
 
@@ -146,10 +144,10 @@ def test_scale_add_and_aggregate():
     m02 = E.pair_embedding(seq, 0, 2, 2, 1)
     agg = m01.scale_add([(-2, m02)])
     dense = m01.to_dense() - 2 * m02.to_dense()
-    assert np.array_equal(agg.to_dense(), dense)
+    assert (agg.to_dense() == dense).all()
     tau = np.array([1, -1], dtype=np.int64)
     agg2 = E.aggregate_pair_embeddings(seq, 0, tau, (1, 2), 2, 1)
-    assert agg2 == m01.scale_add([(-1, m02)])
+    assert agg2.entries == m01.scale_add([(-1, m02)]).entries
 
 
 def test_prune_semantics():
@@ -161,13 +159,13 @@ def test_prune_semantics():
     assert zeroed == tuple(int(i) for i in np.flatnonzero(weights >= thr))
     surv = row_weights(pruned)
     assert (surv < thr).all()
-    assert np.array_equal(pruned.to_dense(), pruned.to_dense().T)
+    assert (pruned.to_dense() == pruned.to_dense().T).all()
 
 
 def test_dimension_cap():
     seq = DifferenceSequence(30, (1, 7))
     assert comb(30, 5) > E.DIMENSION_CAP
-    with pytest.raises(E.DimensionCapError):
+    with pytest.raises(ValueError, match="dimension cap"):
         E.pair_embedding(seq, 0, 1, 5, 1)
 
 
@@ -185,7 +183,6 @@ def test_lower_bound_chain_exact_instance():
     report = E.verify_lower_bound_chain(seq, part, sigma, tau, 2, 1, z)
     assert report.identity_ok
     assert report.quadratic == report.closed_form
-    assert report.norm_is_exact  # dim 21 is inside the enumeration budget
     assert report.ok
     assert report.norm_lower <= report.spectral_upper + 1e-6
 
@@ -199,23 +196,27 @@ def test_lower_bound_chain_exact_norm_can_fail(monkeypatch):
     monkeypatch.setattr(norms, "inf_to_one_exact",
                         lambda mat: (0.0, np.ones(mat.shape[0], dtype=np.int64)))
     report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
-    assert report.norm_is_exact and report.quadratic != 0
+    assert report.identity_ok and report.quadratic != 0
     assert not report.ok
 
 
-def test_lower_bound_chain_above_enumeration_limit(monkeypatch):
-    # dim comb(9, 2) = 36 is past the enumeration budget, so norm_lower is
-    # |quadratic| and only the identity and dim * spectral can fail
+def test_lower_bound_chain_dim_spectral_can_fail(monkeypatch):
+    seq = DifferenceSequence(7, (1, 2, 3, 5))
+    part = IndexPartition((0, 1), (2, 3))
+    signs = np.ones(2, dtype=np.int64)
+    z = np.ones(7, dtype=np.int64)
+    monkeypatch.setattr(norms, "spectral_norm", lambda mat: 0.0)
+    report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
+    assert report.identity_ok and report.quadratic != 0
+    assert report.norm_lower >= abs(report.quadratic)
+    assert not report.ok
+
+
+def test_lower_bound_chain_above_enumeration_limit():
+    """The chain enumerates the inf->1 norm, so dim comb(9, 2) = 36 is refused."""
     seq = DifferenceSequence(9, (1, 2, 3, 4))
     part = IndexPartition((0, 1), (2, 3))
     signs = np.ones(2, dtype=np.int64)
-    z = np.ones(9, dtype=np.int64)
-    z[-1] = -1
-    report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
-    assert not report.norm_is_exact
-    assert report.quadratic == report.closed_form == 12
-    assert report.norm_lower == abs(report.quadratic)
-    assert report.ok
-    monkeypatch.setattr(norms, "spectral_norm", lambda mat: 0.0)
-    report = E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, z)
-    assert report.identity_ok and not report.ok
+    assert comb(9, 2) > _kernels.ENUM_LIMIT
+    with pytest.raises(ValueError, match="exact inf->1 limited"):
+        E.verify_lower_bound_chain(seq, part, signs, signs, 2, 1, np.ones(9, dtype=np.int64))

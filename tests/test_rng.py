@@ -53,7 +53,7 @@ def test_stream_draws_are_numpys():
             case = (seed, major, minor, n, m)
             assert ours.integers(0, n, size=m) == theirs.integers(0, n, size=m).tolist(), case
             assert ours.integers(0, n) == theirs.integers(0, n), case
-            assert np.array_equal(ours.permuted(rows, axis=1),
-                                  theirs.permuted(rows, axis=1)), case
-            assert np.array_equal(ours.integers(0, n, size=(3, 2), dtype=np.int64),
-                                  theirs.integers(0, n, size=(3, 2), dtype=np.int64)), case
+            assert (ours.permuted(rows, axis=1).tolist()
+                    == theirs.permuted(rows, axis=1).tolist()), case
+            assert (ours.integers(0, n, size=(3, 2), dtype=np.int64).tolist()
+                    == theirs.integers(0, n, size=(3, 2), dtype=np.int64).tolist()), case
